@@ -91,15 +91,18 @@ RtPredictor::EaQuery RtPredictor::ea_for(
       // Borrow neighbours' images; use the queried condition's statics and
       // the feedback-loop dynamics.  Averaging over several library
       // neighbours smooths the image-borrowing jitter between grid cells.
+      // The image is left bit-for-bit the neighbour's, so a deep forest
+      // trained on it reuses its training-time window features.
       const auto nearest = library_->nearest_k(canonical, neighbors);
       STAC_REQUIRE(!nearest.empty());
+      // Tabular part in Profiler::to_sample's layout: statics, dynamics.
+      std::vector<double> tabular = profiler_.static_features(canonical);
+      tabular.insert(tabular.end(), dynamics.begin(), dynamics.end());
       double sum = 0.0;
       for (const Profile* near : nearest) {
-        Profile query = *near;
-        query.condition = canonical;
-        query.statics = profiler_.static_features(canonical);
-        query.dynamics = dynamics;
-        sum += ea_model->predict(ea_model->make_sample(query));
+        ml::ProfileSample sample = ea_model->make_sample(*near);
+        sample.tabular = tabular;
+        sum += ea_model->predict(sample);
       }
       return {sum / static_cast<double>(nearest.size()), rung};
     } catch (const ContractViolation&) {
