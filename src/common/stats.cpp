@@ -55,12 +55,17 @@ double StreamingStats::cv() const {
 }
 
 SampleStats::SampleStats(std::vector<double> samples)
-    : samples_(std::move(samples)), sorted_(false) {}
+    : samples_(std::move(samples)), sorted_(false) {
+  for (double x : samples_) sum_ += x;
+}
 
 void SampleStats::add(double x) {
   samples_.push_back(x);
+  sum_ += x;
   sorted_ = false;
 }
+
+void SampleStats::finalize() { ensure_sorted(); }
 
 void SampleStats::ensure_sorted() const {
   if (!sorted_) {
@@ -72,9 +77,7 @@ void SampleStats::ensure_sorted() const {
 
 double SampleStats::mean() const {
   if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : samples_) sum += x;
-  return sum / static_cast<double>(samples_.size());
+  return sum_ / static_cast<double>(samples_.size());
 }
 
 double SampleStats::stddev() const {

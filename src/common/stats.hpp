@@ -43,7 +43,9 @@ class StreamingStats {
 };
 
 /// Retains all samples; exact quantiles via linear interpolation between
-/// order statistics (type-7, same convention as numpy.percentile).
+/// order statistics (type-7, same convention as numpy.percentile).  The
+/// first order-statistic query sorts the samples in place; finalize() does
+/// it up front, so a shared instance's const readers never write.
 class SampleStats {
  public:
   SampleStats() = default;
@@ -54,6 +56,8 @@ class SampleStats {
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
+  /// Sum taken in insertion order, so the value does not depend on
+  /// whether a percentile query has sorted the samples.
   [[nodiscard]] double mean() const;
   [[nodiscard]] double stddev() const;
   /// q in [0, 1]; e.g. percentile(0.95) is the 95th percentile.  Throws
@@ -68,10 +72,14 @@ class SampleStats {
   [[nodiscard]] double max() const;
   [[nodiscard]] std::span<const double> samples() const { return samples_; }
 
+  /// Sort now rather than on the first order-statistic query.
+  void finalize();
+
  private:
   void ensure_sorted() const;
 
   std::vector<double> samples_;
+  double sum_ = 0.0;
   mutable bool sorted_ = true;
 };
 

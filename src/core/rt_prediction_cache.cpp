@@ -7,6 +7,19 @@
 
 namespace stac::core {
 
+namespace {
+
+/// Share a result only once its response times are sorted: memo hits hand
+/// one result to many readers (pool workers among them), and their const
+/// percentile queries must then never sort it in place.  (Queue delays are
+/// only read through mean() and samples(), which never sort.)
+std::shared_ptr<const queueing::GGkResult> publish(queueing::GGkResult r) {
+  r.response_times.finalize();
+  return std::make_shared<const queueing::GGkResult>(std::move(r));
+}
+
+}  // namespace
+
 RtPredictionCache::Key RtPredictionCache::make_key(
     const queueing::GGkConfig& c) {
   return {std::bit_cast<std::uint64_t>(c.utilization),
@@ -40,7 +53,7 @@ std::shared_ptr<const queueing::GGkResult> RtPredictionCache::simulate(
   // service draw — results depend on hidden state, so never cache (in
   // either direction: no lookups, no inserts).
   if (!enabled_ || FaultInjector::global().armed())
-    return std::make_shared<queueing::GGkResult>(queueing::simulate_ggk(config));
+    return publish(queueing::simulate_ggk(config));
 
   const Key key = make_key(config);
   {
@@ -52,8 +65,7 @@ std::shared_ptr<const queueing::GGkResult> RtPredictionCache::simulate(
     }
   }
   obs::MetricsRegistry::global().counter("rt_cache.misses").add();
-  auto result =
-      std::make_shared<const queueing::GGkResult>(queueing::simulate_ggk(config));
+  auto result = publish(queueing::simulate_ggk(config));
   std::size_t entries = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -78,8 +90,7 @@ RtPredictionCache::simulate_batch(
     // No storage either way, but the cells still share streams and arena.
     auto fresh = queueing::simulate_ggk_batch(configs);
     for (std::size_t i = 0; i < fresh.size(); ++i)
-      out[i] = std::make_shared<const queueing::GGkResult>(
-          std::move(fresh[i]));
+      out[i] = publish(std::move(fresh[i]));
     return out;
   }
 
@@ -118,8 +129,7 @@ RtPredictionCache::simulate_batch(
   std::vector<std::shared_ptr<const queueing::GGkResult>> computed(
       fresh.size());
   for (std::size_t j = 0; j < fresh.size(); ++j)
-    computed[j] = std::make_shared<const queueing::GGkResult>(
-        std::move(fresh[j]));
+    computed[j] = publish(std::move(fresh[j]));
   std::size_t entries = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -141,6 +141,19 @@ TEST(SampleStats, MeanStddev) {
   EXPECT_NEAR(st.stddev(), std::sqrt(1.25), 1e-12);
 }
 
+TEST(SampleStats, MeanDoesNotDependOnSortState) {
+  // Summed in this order the mean is 0.25; summed sorted it would be 0.
+  SampleStats st({1e16, 1.0, -1e16, 1.0});
+  SampleStats added;
+  for (const double x : {1e16, 1.0, -1e16, 1.0}) added.add(x);
+  EXPECT_EQ(st.mean(), 0.25);
+  (void)st.median();  // sorts in place
+  EXPECT_EQ(st.mean(), 0.25);
+  added.finalize();
+  EXPECT_EQ(added.mean(), 0.25);
+  EXPECT_EQ(added.min(), -1e16);
+}
+
 TEST(Histogram, BinsAndClamping) {
   Histogram h(0.0, 10.0, 5);
   h.add(1.0);   // bin 0

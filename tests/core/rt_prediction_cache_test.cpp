@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <thread>
 
 #include "common/fault_injection.hpp"
 #include "core/policy_explorer.hpp"
@@ -69,6 +71,36 @@ TEST(RtPredictionCache, HitReturnsBitIdenticalResult) {
   const auto st = cache.stats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 1u);
+}
+
+TEST(RtPredictionCache, ConcurrentMemoHitReadersNeverWrite) {
+  RtPredictionCache cache;
+  const GGkConfig c = small_sim(6);
+  const GGkResult fresh = queueing::simulate_ggk(c);
+  const double want_mean = fresh.response_times.mean();
+  const double want_p95 = fresh.response_times.percentile(0.95);
+  (void)cache.simulate(c);  // miss: the result is stored
+
+  // Two readers share the stored result and ask for order statistics at
+  // the same time; a reader that sorted it in place would race the other
+  // (the TSan leg runs this test).
+  auto read = [&](double& mean, double& p95) {
+    const auto hit = cache.simulate(c);
+    p95 = hit->response_times.percentile(0.95);
+    mean = hit->response_times.mean();
+  };
+  double mean_a = 0.0, p95_a = 0.0, mean_b = 0.0, p95_b = 0.0;
+  std::thread a(read, std::ref(mean_a), std::ref(p95_a));
+  std::thread b(read, std::ref(mean_b), std::ref(p95_b));
+  a.join();
+  b.join();
+  EXPECT_EQ(cache.stats().hits, 2u);
+  for (const double mean : {mean_a, mean_b})
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(mean),
+              std::bit_cast<std::uint64_t>(want_mean));
+  for (const double p95 : {p95_a, p95_b})
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p95),
+              std::bit_cast<std::uint64_t>(want_p95));
 }
 
 TEST(RtPredictionCache, KeyIsBitExactOverEveryField) {

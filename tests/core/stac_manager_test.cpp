@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/check.hpp"
 
 namespace stac::core {
@@ -62,6 +64,25 @@ TEST(StacManager, CalibrateThenFullApi) {
   EXPECT_NE(std::find(grid.begin(), grid.end(),
                       rec.selection.timeout_primary),
             grid.end());
+}
+
+TEST(StacManager, RepeatedMemoizedPredictIsBitIdentical) {
+  StacOptions opts = tiny_options();
+  opts.predictor.memoize = true;
+  StacManager mgr(opts);
+  mgr.calibrate(wl::Benchmark::kKnn, wl::Benchmark::kBfs);
+  const RtPrediction first = mgr.predict(cond());
+  const RtPrediction again = mgr.predict(cond());  // every simulation a hit
+  for (const auto& [a, b] :
+       {std::pair{first.mean_rt, again.mean_rt},
+        std::pair{first.p95_rt, again.p95_rt},
+        std::pair{first.ea, again.ea},
+        std::pair{first.mean_queue_delay, again.mean_queue_delay},
+        std::pair{first.boosted_fraction, again.boosted_fraction},
+        std::pair{first.norm_mean_rt, again.norm_mean_rt},
+        std::pair{first.norm_p95_rt, again.norm_p95_rt}})
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+  EXPECT_EQ(first.rung, again.rung);
 }
 
 TEST(StacManager, CalibratesAndPredictsUnderModeledTimeEa) {
