@@ -40,8 +40,12 @@
 #include <memory>
 #include <random>
 #include <span>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_util.hpp"
 #include "cachesim/simd_probe.hpp"
@@ -551,10 +555,20 @@ JsonObject bench_hot_swap(const BenchArgs& args, const core::StacManager& mgr,
 JsonObject bench_recovery_time(const BenchArgs& args,
                                const core::StacManager& mgr,
                                const core::StacOptions& opts) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "stac_bench_recovery")
-          .string();
-  std::filesystem::create_directories(dir);
+  // This run's own directory, removed on return, so concurrent runs never
+  // share checkpoint files.
+  const std::filesystem::path dir_path =
+      std::filesystem::temp_directory_path() /
+      ("stac_bench_recovery." + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir_path);
+  struct RemoveOnReturn {
+    const std::filesystem::path& dir;
+    ~RemoveOnReturn() {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  } remove_on_return{dir_path};
+  const std::string dir = dir_path.string();
   const std::string path = serve::checkpoint_path(dir);
 
   // Warm a controller on stationary traffic so the checkpoint has real

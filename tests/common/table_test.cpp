@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "test_dir.hpp"
 
 namespace stac {
 namespace {
@@ -41,7 +41,8 @@ TEST(Table, NumericRowFormatting) {
 TEST(Table, CsvEscapesCommas) {
   Table t({"k", "v"});
   t.add_row({"with,comma", "plain"});
-  const std::string path = "/tmp/stac_table_test.csv";
+  const TestDir dir;
+  const std::string path = dir.file("table.csv");
   t.write_csv(path);
   std::ifstream in(path);
   std::string header, row;
@@ -49,7 +50,6 @@ TEST(Table, CsvEscapesCommas) {
   std::getline(in, row);
   EXPECT_EQ(header, "k,v");
   EXPECT_EQ(row, "\"with,comma\",plain");
-  std::remove(path.c_str());
 }
 
 TEST(Table, NumAndPctHelpers) {

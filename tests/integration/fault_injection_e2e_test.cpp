@@ -6,7 +6,6 @@
 // the same plan seed.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +13,7 @@
 #include "common/fault_injection.hpp"
 #include "core/stac_manager.hpp"
 #include "profiler/profile_io.hpp"
+#include "test_dir.hpp"
 
 namespace stac::core {
 namespace {
@@ -89,12 +89,12 @@ ScenarioResult run_scenario(std::uint64_t plan_seed) {
 
   // One corrupt profile record on disk: save the library, damage the last
   // record's checksum, merge the file back in.
-  const char* path = "/tmp/stac_fault_e2e_profiles.txt";
+  const TestDir dir;
+  const std::string path = dir.file("profiles.txt");
   profiler::save_profiles(path, mgr.library().profiles());
   corrupt_last_record(path);
   const std::size_t before = mgr.library().size();
   const std::size_t added = mgr.load_profiles(path);
-  std::remove(path);
   EXPECT_EQ(added, before - 1);  // all but the damaged record survive
   EXPECT_EQ(mgr.library().quarantine_log().size(), 1u);
 

@@ -4,10 +4,11 @@
 // originals (the paper's offline workflow: profile once, model anywhere).
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <string>
 
 #include "core/rt_predictor.hpp"
 #include "profiler/profile_io.hpp"
+#include "test_dir.hpp"
 
 namespace stac::core {
 namespace {
@@ -38,10 +39,10 @@ TEST(PersistenceIntegration, SaveLoadTrainPredictMatches) {
       profiler.profile_conditions(conditions);
   ASSERT_GE(original.size(), 6u);
 
-  const char* path = "/tmp/stac_persistence_integration.txt";
+  const TestDir dir;
+  const std::string path = dir.file("profiles.txt");
   save_profiles(path, original);
   const std::vector<Profile> loaded = profiler::load_profiles(path);
-  std::remove(path);
   ASSERT_EQ(loaded.size(), original.size());
 
   EaModelConfig cfg;
@@ -74,11 +75,11 @@ TEST(PersistenceIntegration, LoadedProfilesServeAsLibrary) {
   auto profiles = profiler.profile_conditions(conditions);
   ASSERT_FALSE(profiles.empty());
 
-  const char* path = "/tmp/stac_persistence_library.txt";
+  const TestDir dir;
+  const std::string path = dir.file("profiles.txt");
   save_profiles(path, profiles);
   ProfileLibrary library;
   library.add_all(profiler::load_profiles(path));
-  std::remove(path);
 
   EaModelConfig cfg;
   cfg.backend = EaBackend::kSimpleForest;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -10,6 +9,7 @@
 
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
+#include "test_dir.hpp"
 
 namespace stac::profiler {
 namespace {
@@ -44,9 +44,13 @@ Profile sample_profile(std::uint64_t seed) {
   return p;
 }
 
-const char* kPath = "/tmp/stac_profile_io_test.txt";
+class ProfileIo : public ::testing::Test {
+ protected:
+  TestDir dir_;
+  const std::string kPath = dir_.file("profiles.txt");
+};
 
-TEST(ProfileIo, RoundTripIsBitExact) {
+TEST_F(ProfileIo, RoundTripIsBitExact) {
   std::vector<Profile> profiles{sample_profile(1), sample_profile(2),
                                 sample_profile(3)};
   save_profiles(kPath, profiles);
@@ -77,39 +81,35 @@ TEST(ProfileIo, RoundTripIsBitExact) {
       for (std::size_t col = 0; col < a.image.cols(); ++col)
         EXPECT_DOUBLE_EQ(a.image(r, col), b.image(r, col));
   }
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, EmptySetRoundTrips) {
+TEST_F(ProfileIo, EmptySetRoundTrips) {
   save_profiles(kPath, {});
   EXPECT_TRUE(load_profiles(kPath).empty());
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, RejectsMissingFile) {
-  EXPECT_THROW((void)load_profiles("/tmp/stac_definitely_missing_file.txt"),
+TEST_F(ProfileIo, RejectsMissingFile) {
+  EXPECT_THROW((void)load_profiles(dir_.file("missing.txt")),
                ContractViolation);
 }
 
-TEST(ProfileIo, RejectsWrongMagic) {
+TEST_F(ProfileIo, RejectsWrongMagic) {
   {
     std::ofstream out(kPath);
     out << "not-a-profile v1 0\n";
   }
   EXPECT_THROW((void)load_profiles(kPath), ContractViolation);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, RejectsWrongVersion) {
+TEST_F(ProfileIo, RejectsWrongVersion) {
   {
     std::ofstream out(kPath);
     out << "stac-profiles v999 0\n";
   }
   EXPECT_THROW((void)load_profiles(kPath), ContractViolation);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, SavedFilesCarryPerRecordChecksums) {
+TEST_F(ProfileIo, SavedFilesCarryPerRecordChecksums) {
   save_profiles(kPath, {sample_profile(1), sample_profile(2)});
   std::ifstream in(kPath);
   std::string line;
@@ -117,10 +117,9 @@ TEST(ProfileIo, SavedFilesCarryPerRecordChecksums) {
   while (std::getline(in, line))
     if (line.rfind("checksum ", 0) == 0) ++checksums;
   EXPECT_EQ(checksums, 2u);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, ResilientLoadQuarantinesCorruptRecord) {
+TEST_F(ProfileIo, ResilientLoadQuarantinesCorruptRecord) {
   save_profiles(kPath, {sample_profile(1), sample_profile(2),
                         sample_profile(3)});
   // Damage the middle record's payload: checksum mismatch, structure kept.
@@ -151,10 +150,9 @@ TEST(ProfileIo, ResilientLoadQuarantinesCorruptRecord) {
   EXPECT_EQ(report.profiles[1].condition.seed, 3u);
   // The strict loader refuses the same file loudly.
   EXPECT_THROW((void)load_profiles(kPath), ContractViolation);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, ResilientLoadQuarantinesTruncatedTail) {
+TEST_F(ProfileIo, ResilientLoadQuarantinesTruncatedTail) {
   save_profiles(kPath, {sample_profile(1), sample_profile(2)});
   std::string text;
   {
@@ -178,10 +176,9 @@ TEST(ProfileIo, ResilientLoadQuarantinesTruncatedTail) {
   EXPECT_EQ(report.quarantined[0].index, 1u);
   EXPECT_NE(report.quarantined[0].reason.find("truncated"),
             std::string::npos);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, ResilientLoadAcceptsV1FilesWithoutChecksums) {
+TEST_F(ProfileIo, ResilientLoadAcceptsV1FilesWithoutChecksums) {
   save_profiles(kPath, {sample_profile(4), sample_profile(5)});
   // Rewrite as a v1 file: old header, no checksum trailers.
   std::string text;
@@ -215,11 +212,10 @@ TEST(ProfileIo, ResilientLoadAcceptsV1FilesWithoutChecksums) {
   EXPECT_EQ(report.profiles[0].condition.seed, 4u);
   // v1 files also still satisfy the strict loader.
   EXPECT_EQ(load_profiles(kPath).size(), 2u);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, ResilientLoadQuarantinesWholeFileOnMissingOrBadHeader) {
-  auto report = load_profiles_resilient("/tmp/stac_definitely_missing.txt");
+TEST_F(ProfileIo, ResilientLoadQuarantinesWholeFileOnMissingOrBadHeader) {
+  auto report = load_profiles_resilient(dir_.file("missing.txt"));
   EXPECT_TRUE(report.file_quarantined);
   EXPECT_TRUE(report.profiles.empty());
   {
@@ -228,10 +224,9 @@ TEST(ProfileIo, ResilientLoadQuarantinesWholeFileOnMissingOrBadHeader) {
   }
   report = load_profiles_resilient(kPath);
   EXPECT_TRUE(report.file_quarantined);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, InjectedIoFaultQuarantinesFile) {
+TEST_F(ProfileIo, InjectedIoFaultQuarantinesFile) {
   save_profiles(kPath, {sample_profile(9)});
   FaultPlan plan;
   plan.add({.point = "io.load_profile",
@@ -247,10 +242,9 @@ TEST(ProfileIo, InjectedIoFaultQuarantinesFile) {
   }
   // Chaos disarmed: the same file loads fine.
   EXPECT_EQ(load_profiles(kPath).size(), 1u);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, RejectsTruncatedRecord) {
+TEST_F(ProfileIo, RejectsTruncatedRecord) {
   std::vector<Profile> profiles{sample_profile(7)};
   save_profiles(kPath, profiles);
   // Truncate the file in the middle of the record.
@@ -264,7 +258,6 @@ TEST(ProfileIo, RejectsTruncatedRecord) {
     out << contents << "\n";  // claims 1 profile, provides none
   }
   EXPECT_THROW((void)load_profiles(kPath), ContractViolation);
-  std::remove(kPath);
 }
 
 }  // namespace

@@ -15,17 +15,23 @@
 #include "common/atomic_file.hpp"
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
+#include "test_dir.hpp"
 
 namespace stac::serve {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string test_dir() {
-  const fs::path dir = fs::temp_directory_path() / "stac_checkpoint_test";
-  fs::create_directories(dir);
-  return dir.string();
-}
+/// Each test writes into its own directory, removed at teardown.
+class FileTest : public ::testing::Test {
+ protected:
+  [[nodiscard]] std::string test_dir() const { return dir_.path().string(); }
+
+ private:
+  TestDir dir_;
+};
+using Checkpoint = FileTest;
+using AtomicFile = FileTest;
 
 ControllerCheckpoint sample_checkpoint() {
   ControllerCheckpoint c;
@@ -70,7 +76,7 @@ std::string read_all(const std::string& path) {
   return text;
 }
 
-TEST(Checkpoint, RoundTripIsBitExact) {
+TEST_F(Checkpoint, RoundTripIsBitExact) {
   const std::string path = checkpoint_path(test_dir());
   const ControllerCheckpoint in = sample_checkpoint();
   save_checkpoint(path, in);
@@ -107,7 +113,7 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   }
 }
 
-TEST(Checkpoint, MissingFileQuarantinesWithoutThrowing) {
+TEST_F(Checkpoint, MissingFileQuarantinesWithoutThrowing) {
   const CheckpointLoadReport report =
       load_checkpoint(test_dir() + "/does_not_exist.ckpt");
   EXPECT_FALSE(report.clean());
@@ -115,7 +121,7 @@ TEST(Checkpoint, MissingFileQuarantinesWithoutThrowing) {
   EXPECT_NE(report.reason.find("cannot open"), std::string::npos);
 }
 
-TEST(Checkpoint, FlippedByteFailsTheChecksum) {
+TEST_F(Checkpoint, FlippedByteFailsTheChecksum) {
   const std::string path = checkpoint_path(test_dir());
   save_checkpoint(path, sample_checkpoint());
   std::string text = read_all(path);
@@ -131,7 +137,7 @@ TEST(Checkpoint, FlippedByteFailsTheChecksum) {
   EXPECT_NE(report.reason.find("checksum"), std::string::npos);
 }
 
-TEST(Checkpoint, TruncationQuarantines) {
+TEST_F(Checkpoint, TruncationQuarantines) {
   const std::string path = checkpoint_path(test_dir());
   save_checkpoint(path, sample_checkpoint());
   const std::string text = read_all(path);
@@ -161,7 +167,7 @@ std::string forge(const std::string& body) {
   return body + "checksum " + hex + "\n";
 }
 
-TEST(Checkpoint, BadMagicQuarantines) {
+TEST_F(Checkpoint, BadMagicQuarantines) {
   const std::string path = checkpoint_path(test_dir());
   write_file_atomic(path, forge("not-a-ckpt v1\nepoch 1 1.0\n"));
   const CheckpointLoadReport report = load_checkpoint(path);
@@ -170,7 +176,7 @@ TEST(Checkpoint, BadMagicQuarantines) {
   EXPECT_NE(report.reason.find("not a stac checkpoint"), std::string::npos);
 }
 
-TEST(Checkpoint, FutureVersionQuarantines) {
+TEST_F(Checkpoint, FutureVersionQuarantines) {
   const std::string path = checkpoint_path(test_dir());
   write_file_atomic(path, forge("stac-ckpt v999\nepoch 1 1.0\n"));
   const CheckpointLoadReport report = load_checkpoint(path);
@@ -179,7 +185,7 @@ TEST(Checkpoint, FutureVersionQuarantines) {
   EXPECT_NE(report.reason.find("version"), std::string::npos);
 }
 
-TEST(Checkpoint, InjectedWriteFaultLeavesOldFileIntact) {
+TEST_F(Checkpoint, InjectedWriteFaultLeavesOldFileIntact) {
   const std::string path = checkpoint_path(test_dir());
   ControllerCheckpoint first = sample_checkpoint();
   first.epoch = 1;
@@ -205,7 +211,7 @@ TEST(Checkpoint, InjectedWriteFaultLeavesOldFileIntact) {
   EXPECT_EQ(report.checkpoint->epoch, 1u);
 }
 
-TEST(Checkpoint, InjectedLoadFaultQuarantines) {
+TEST_F(Checkpoint, InjectedLoadFaultQuarantines) {
   const std::string path = checkpoint_path(test_dir());
   save_checkpoint(path, sample_checkpoint());
   FaultPlan plan;
@@ -219,14 +225,14 @@ TEST(Checkpoint, InjectedLoadFaultQuarantines) {
   EXPECT_TRUE(report.quarantined);
 }
 
-TEST(Checkpoint, WhitespaceLibraryRefIsRejectedAtWriteTime) {
+TEST_F(Checkpoint, WhitespaceLibraryRefIsRejectedAtWriteTime) {
   ControllerCheckpoint c = sample_checkpoint();
   c.library_ref = "bad ref with spaces";
   EXPECT_THROW(save_checkpoint(checkpoint_path(test_dir()) + ".ws", c),
                ContractViolation);
 }
 
-TEST(AtomicFile, WriteReplacesAtomicallyAndReadsBack) {
+TEST_F(AtomicFile, WriteReplacesAtomicallyAndReadsBack) {
   const std::string path = test_dir() + "/atomic_probe.txt";
   write_file_atomic(path, "first");
   EXPECT_EQ(read_all(path), "first");
@@ -236,7 +242,7 @@ TEST(AtomicFile, WriteReplacesAtomicallyAndReadsBack) {
   EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
-TEST(AtomicFile, ReadMissingFileReturnsFalse) {
+TEST_F(AtomicFile, ReadMissingFileReturnsFalse) {
   std::string out = "sentinel";
   EXPECT_FALSE(read_file(test_dir() + "/nope.txt", out));
   EXPECT_TRUE(out.empty());

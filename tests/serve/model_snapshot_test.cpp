@@ -111,7 +111,10 @@ TEST(ModelSnapshot, SwapUnderLoadNeverTearsAReader) {
     for (int r = 0; r < kReaders; ++r) {
       readers.emplace_back([&] {
         std::uint64_t last = 0;
-        for (std::uint64_t i = 0; i < kReadsEach; ++i) {
+        // Read past the quota until a swap has been seen (stamp > 1), so
+        // every reader overlaps at least one publish however the threads
+        // are scheduled.
+        for (std::uint64_t i = 0; i < kReadsEach || last < 2; ++i) {
           const auto guard = snap.acquire();
           ASSERT_TRUE(guard);
           ASSERT_TRUE(guard->coherent());
@@ -123,8 +126,8 @@ TEST(ModelSnapshot, SwapUnderLoadNeverTearsAReader) {
       });
     }
 
-    // Publish continuously until every reader finished its quota, so the
-    // swaps genuinely overlap the reads even on a single-core scheduler.
+    // Publish continuously until every reader finished, so the swaps
+    // genuinely overlap the reads even on a single-core scheduler.
     std::uint64_t published = 1;
     while (readers_done.load(std::memory_order_acquire) < kReaders) {
       snap.publish(std::make_unique<const Payload>(++published));

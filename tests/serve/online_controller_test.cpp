@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +19,7 @@
 #include "common/fault_injection.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/traffic_replay.hpp"
+#include "test_dir.hpp"
 
 namespace stac::serve {
 namespace {
@@ -329,13 +329,6 @@ TEST_F(OnlineControllerTest, WatchdogRevokesLeakedLease) {
   EXPECT_EQ(ctrl.totals().watchdog_revocations, 1u);
 }
 
-std::string ckpt_dir(const char* leaf) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / leaf;
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
-
 TEST_F(OnlineControllerTest, WarmEpochWithNoModelIsAHoldNotAnError) {
   ArrivalIngest ring(1 << 12);
   ModelSnapshot<ServingModel> snap;  // recovery window: no bundle yet
@@ -391,7 +384,8 @@ TEST_F(OnlineControllerTest, EpochFaultPointCrashesBeforeStateMoves) {
 }
 
 TEST_F(OnlineControllerTest, CheckpointCadenceWritesAndSurvivesWriteFaults) {
-  const std::string dir = ckpt_dir("stac_ctrl_ckpt_cadence");
+  const TestDir ckpt_dir;
+  const std::string dir = ckpt_dir.path().string();
   ArrivalIngest ring(1024);
   ModelSnapshot<ServingModel> snap;
   ControllerConfig cfg = controller_config();
@@ -424,7 +418,8 @@ TEST_F(OnlineControllerTest, CheckpointCadenceWritesAndSurvivesWriteFaults) {
 }
 
 TEST_F(OnlineControllerTest, RecoveryMatchesUninterruptedRunBitExactly) {
-  const std::string dir = ckpt_dir("stac_ctrl_ckpt_roundtrip");
+  const TestDir ckpt_dir;
+  const std::string dir = ckpt_dir.path().string();
   auto bundle_for = [&] { return build_serving_model(*mgr_, tiny_options(), 1); };
 
   // Uninterrupted baseline: two epochs of stationary CRN traffic, with a
