@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+
+#include "test_dir.hpp"
 
 namespace stac::obs {
 namespace {
@@ -115,14 +116,13 @@ TEST_F(TraceTest, ChromeTraceJsonShape) {
 TEST_F(TraceTest, WriteChromeTraceRoundTrips) {
   set_enabled(true);
   instant("written", "test");
-  const std::string path =
-      ::testing::TempDir() + "/stac_trace_test_out.json";
+  const TestDir dir;
+  const std::string path = dir.file("trace.json");
   ASSERT_TRUE(TraceBuffer::global().write_chrome_trace(path));
   std::ifstream in(path);
   std::stringstream ss;
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("written"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, ThreadsGetDistinctStableIds) {
