@@ -438,14 +438,16 @@ JsonObject bench_refit(const BenchArgs& args, const core::StacManager& mgr,
   // the pointer walk, across seeds and across a warm refit.
   bool flat_identical = true;
   for (std::uint64_t seed = 1; seed <= 3 && flat_identical; ++seed) {
-    ml::Dataset ds;
+    Matrix xs(0, 3);
+    std::vector<double> ys;
     std::mt19937_64 rng(seed * 7919);
     std::uniform_real_distribution<double> u(-2.0, 2.0);
     for (std::size_t i = 0; i < 160; ++i) {
       const double row[3] = {u(rng), u(rng), u(rng)};
-      ds.add_row(std::span<const double>(row, 3),
-                 row[0] * row[1] + (row[2] > 0 ? row[2] : -0.5 * row[2]));
+      xs.append_row(std::span<const double>(row, 3));
+      ys.push_back(row[0] * row[1] + (row[2] > 0 ? row[2] : -0.5 * row[2]));
     }
+    const ml::Dataset ds(xs, ys);
     ml::ForestConfig fc;
     fc.estimators = 12;
     fc.seed = seed;
@@ -456,10 +458,12 @@ JsonObject bench_refit(const BenchArgs& args, const core::StacManager& mgr,
     ptr_rf.fit(ds);
     for (std::size_t i = 0; i < 40; ++i) {
       const double row[3] = {u(rng), u(rng), u(rng)};
-      ds.add_row(std::span<const double>(row, 3), u(rng));
+      xs.append_row(std::span<const double>(row, 3));
+      ys.push_back(u(rng));
     }
-    flat_rf.refit_incremental(ds);
-    ptr_rf.refit_incremental(ds);
+    const ml::Dataset grown_ds(std::move(xs), std::move(ys));
+    flat_rf.refit_incremental(grown_ds);
+    ptr_rf.refit_incremental(grown_ds);
     for (std::size_t i = 0; i < 64 && flat_identical; ++i) {
       const double x[3] = {u(rng), u(rng), u(rng)};
       const double ya = flat_rf.predict(std::span<const double>(x, 3));

@@ -4,10 +4,10 @@
 // for generalization claims).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +25,8 @@ struct ProfileSample {
   std::vector<double> tabular;  ///< static + dynamic condition features
 };
 
+/// Immutable once constructed: every fit or refit builds a fresh Dataset,
+/// so the caches derived from it never go stale.
 class Dataset {
  public:
   Dataset() = default;
@@ -47,20 +49,19 @@ class Dataset {
   [[nodiscard]] double target(std::size_t i) const { return targets_[i]; }
 
   /// Stride-1 view of feature column `f` (all rows), backed by a lazily
-  /// built column-major copy of the features — the tree trainer's split
+  /// built column-major copy of the features — completely-random split
   /// scans walk columns, and the row-major matrix would stride by
-  /// feature_count() per element.  The cache is built once per dataset
-  /// (thread-safe: concurrent tree fits share one build) and *extended in
-  /// place* by add_row: a span obtained before an append stays valid and
-  /// bitwise-equal over the rows it covered — superseded buffers are
-  /// retired, never freed, until the Dataset dies.
+  /// feature_count() per element.  Built once per dataset (thread-safe:
+  /// concurrent tree fits share one build).
   [[nodiscard]] std::span<const double> column(std::size_t f) const;
 
-  /// Append one sample.  If the column cache is live it is extended
-  /// in place under the build lock (O(feature_count) amortized), not
-  /// invalidated — the delta-append protocol the warm-start refit path
-  /// relies on for cheap `Dataset` growth.
-  void add_row(std::span<const double> x, double y);
+  /// Dense ranks of feature column `f`, one per row: rank order is value
+  /// order, values that compare equal (-0.0 and +0.0 included) share a
+  /// rank, and the ranks used are exactly 0 .. (distinct values - 1).
+  /// Built once per dataset for every column on first use (thread-safe,
+  /// counted as `ml.rank_builds`), so every tree fitted on the dataset
+  /// orders its samples with a counting sort instead of a comparison sort.
+  [[nodiscard]] std::span<const std::uint32_t> ranks(std::size_t f) const;
 
   /// Subset by row indices.
   [[nodiscard]] Dataset subset(const std::vector<std::size_t>& rows) const;
@@ -78,48 +79,32 @@ class Dataset {
   [[nodiscard]] Dataset with_extra_features(const Matrix& extra) const;
 
  private:
-  /// Column-major mirror of `features_`, one buffer per column so appends
-  /// extend columns independently.  Publication protocol (all under
-  /// build_mutex on the writer side):
-  ///   1. values are appended to every column's buffer; a buffer that must
-  ///      grow is replaced (old generation pushed onto `retired`, keeping
-  ///      previously returned spans alive) and its pointer re-published;
-  ///   2. `rows` is bumped last (release).
-  /// Readers load `rows` first (acquire), then the column pointer: the
-  /// pointer they see is at least as new as the row count, and any newer
-  /// buffer still carries the identical prefix (columns are append-only).
-  /// Copying or moving a Dataset drops the cache (rebuilt on demand) so the
-  /// synchronization members never need to transfer.
-  struct ColumnCache {
-    ColumnCache() = default;
-    ColumnCache(const ColumnCache&) {}
-    ColumnCache& operator=(const ColumnCache&) {
-      ready.store(false, std::memory_order_relaxed);
-      cols.clear();
-      retired.clear();
-      ptrs.reset();
-      rows.store(0, std::memory_order_relaxed);
+  /// Derived, immutable views of `features_`, each built at most once.
+  struct Caches {
+    std::once_flag columns_once;
+    std::vector<double> columns;  ///< features x rows, column-major
+    std::once_flag ranks_once;
+    std::vector<std::uint32_t> ranks;  ///< features x rows
+  };
+  /// Copying or assigning a Dataset gives the copy fresh, empty caches
+  /// (rebuilt on demand), so the once-flags never need to transfer.
+  struct CacheSlot {
+    CacheSlot() : p(std::make_unique<Caches>()) {}
+    CacheSlot(const CacheSlot&) : CacheSlot() {}
+    CacheSlot& operator=(const CacheSlot&) {
+      p = std::make_unique<Caches>();
       return *this;
     }
-
-    mutable std::mutex build_mutex;
-    /// Current storage, one vector per column.
-    mutable std::vector<std::vector<double>> cols;
-    /// Superseded column buffers, kept alive so old spans stay valid.
-    mutable std::vector<std::vector<double>> retired;
-    /// Published data pointer per column (readers never touch `cols`).
-    mutable std::unique_ptr<std::atomic<const double*>[]> ptrs;
-    /// Row count the published pointers are complete for.
-    mutable std::atomic<std::size_t> rows{0};
-    mutable std::atomic<bool> ready{false};
+    std::unique_ptr<Caches> p;
   };
 
-  void build_column_cache_locked() const;
+  Caches& columns_built() const;
+  Caches& ranks_built() const;
 
   Matrix features_;
   std::vector<double> targets_;
   std::vector<std::string> names_;
-  ColumnCache col_cache_;
+  CacheSlot caches_;
 };
 
 }  // namespace stac::ml

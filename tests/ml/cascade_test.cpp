@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "ml/test_util.hpp"
 
 namespace stac::ml {
 namespace {
@@ -124,17 +125,14 @@ TEST(CascadeForest, WarmRefitParityWithColdFit) {
   const Dataset grown = nonlinear_dataset(420, 21);
   std::vector<std::size_t> head(350);
   for (std::size_t i = 0; i < head.size(); ++i) head[i] = i;
-  Dataset base = grown.subset(head);
   CascadeForest warm(small_config());
-  warm.fit(base);
+  warm.fit(grown.subset(head));
   EXPECT_EQ(warm.trained_rows(), 350u);
-  for (std::size_t i = 350; i < grown.size(); ++i)
-    base.add_row(grown.row(i), grown.target(i));
-  warm.refit_incremental(base);
+  warm.refit_incremental(grown);
   EXPECT_EQ(warm.trained_rows(), 420u);
 
   CascadeForest cold(small_config());
-  cold.fit(base);
+  cold.fit(grown);
   const Dataset test = nonlinear_dataset(150, 22);
   auto mae = [&](const CascadeForest& cf) {
     double m = 0.0;
@@ -150,13 +148,10 @@ TEST(CascadeForest, WarmRefitParityWithColdFit) {
 
 TEST(CascadeForest, WarmRefitIsDeterministic) {
   auto run = [] {
-    Dataset d = nonlinear_dataset(240, 25);
+    const Dataset d = nonlinear_dataset(240, 25);
     CascadeForest cf(small_config());
     cf.fit(d);
-    const Dataset extra = nonlinear_dataset(60, 26);
-    for (std::size_t i = 0; i < extra.size(); ++i)
-      d.add_row(extra.row(i), extra.target(i));
-    cf.refit_incremental(d);
+    cf.refit_incremental(concat(d, nonlinear_dataset(60, 26)));
     return cf;
   };
   const CascadeForest a = run();
@@ -164,6 +159,19 @@ TEST(CascadeForest, WarmRefitIsDeterministic) {
   const Dataset probe = nonlinear_dataset(80, 27);
   for (std::size_t i = 0; i < probe.size(); ++i)
     EXPECT_EQ(a.predict(probe.row(i)), b.predict(probe.row(i)));
+}
+
+TEST(CascadeForest, OneRankTablePerTrainingMatrix) {
+  // Each level and the closing bank train on their own matrix; all the
+  // random forests of one matrix share its single rank table.
+  const CascadeConfig cfg = small_config();
+  CascadeForest cf(cfg);
+  const Dataset d = nonlinear_dataset(150, 29);
+  EXPECT_EQ(rank_builds([&] { cf.fit(d); }), cfg.levels + 1);
+  EXPECT_EQ(rank_builds([&] {
+              cf.refit_incremental(concat(d, nonlinear_dataset(20, 30)));
+            }),
+            cfg.levels + 1);
 }
 
 TEST(CascadeForest, RefitContractValidation) {

@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
+#include "ml/test_util.hpp"
 
 namespace stac::ml {
 namespace {
@@ -137,18 +138,16 @@ TEST(RandomForest, FlattenedPredictBitIdenticalToPointerWalk) {
 }
 
 TEST(RandomForest, FlattenedIdentityHoldsAcrossWarmRefit) {
-  Dataset data = wavy_dataset(200, 31);
+  const Dataset data = wavy_dataset(200, 31);
   ForestConfig cfg{.estimators = 16, .seed = 31};
   ForestConfig ptr_cfg = cfg;
   ptr_cfg.flatten = false;
   RandomForest flat(cfg), pointer(ptr_cfg);
   flat.fit(data);
   pointer.fit(data);
-  const Dataset extra = wavy_dataset(60, 32);
-  for (std::size_t i = 0; i < extra.size(); ++i)
-    data.add_row(extra.row(i), extra.target(i));
-  flat.refit_incremental(data);
-  pointer.refit_incremental(data);
+  const Dataset grown = concat(data, wavy_dataset(60, 32));
+  flat.refit_incremental(grown);
+  pointer.refit_incremental(grown);
   const Dataset test = wavy_dataset(80, 33);
   for (std::size_t i = 0; i < test.size(); ++i) {
     const double a = flat.predict(test.row(i));
@@ -162,19 +161,16 @@ TEST(RandomForest, WarmRefitParityWithColdFit) {
   const Dataset grown = wavy_dataset(500, 41);
   std::vector<std::size_t> head(400);
   for (std::size_t i = 0; i < head.size(); ++i) head[i] = i;
-  Dataset base = grown.subset(head);
   RandomForest warm(ForestConfig{.estimators = 32, .seed = 42});
-  warm.fit(base);
-  for (std::size_t i = 400; i < grown.size(); ++i)
-    base.add_row(grown.row(i), grown.target(i));
+  warm.fit(grown.subset(head));
   // Two refit rounds: the round-robin window advances, so different tree
   // subsets retrain each call.
-  warm.refit_incremental(base);
-  warm.refit_incremental(base);
+  warm.refit_incremental(grown);
+  warm.refit_incremental(grown);
   EXPECT_EQ(warm.trained_rows(), 500u);
   EXPECT_EQ(warm.refit_rounds(), 2u);
   RandomForest cold(ForestConfig{.estimators = 32, .seed = 42});
-  cold.fit(base);
+  cold.fit(grown);
   const Dataset test = wavy_dataset(200, 43);
   // The accuracy-parity contract: warm-start is an approximation, but it
   // must track a full refit within a small absolute margin.
@@ -183,14 +179,12 @@ TEST(RandomForest, WarmRefitParityWithColdFit) {
 
 TEST(RandomForest, WarmRefitIsDeterministic) {
   auto run = [] {
-    Dataset d = wavy_dataset(240, 51);
+    const Dataset d = wavy_dataset(240, 51);
     RandomForest rf(ForestConfig{.estimators = 24, .seed = 52});
     rf.fit(d);
-    const Dataset extra = wavy_dataset(50, 53);
-    for (std::size_t i = 0; i < extra.size(); ++i)
-      d.add_row(extra.row(i), extra.target(i));
-    rf.refit_incremental(d);
-    rf.refit_incremental(d);
+    const Dataset grown = concat(d, wavy_dataset(50, 53));
+    rf.refit_incremental(grown);
+    rf.refit_incremental(grown);
     return rf;
   };
   const RandomForest a = run();
@@ -201,6 +195,20 @@ TEST(RandomForest, WarmRefitIsDeterministic) {
     const double pb = b.predict(test.row(i));
     EXPECT_EQ(std::memcmp(&pa, &pb, sizeof(double)), 0);
   }
+}
+
+TEST(RandomForest, FitBuildsOneRankTablePerDataset) {
+  const Dataset d = wavy_dataset(300, 71);
+  // Sixteen trees fitted in parallel share the dataset's one rank table,
+  // and a warm refit on the same dataset reuses it.
+  RandomForest rf(ForestConfig{.estimators = 16, .seed = 71});
+  EXPECT_EQ(rank_builds([&] { rf.fit(d); }), 1u);
+  EXPECT_EQ(rank_builds([&] { rf.refit_incremental(d); }), 0u);
+  // Completely-random trees never sort.
+  RandomForest cr(ForestConfig{.estimators = 8,
+                               .split_mode = SplitMode::kCompletelyRandom,
+                               .seed = 72});
+  EXPECT_EQ(rank_builds([&] { cr.fit(wavy_dataset(100, 72)); }), 0u);
 }
 
 TEST(RandomForest, RefitContractValidation) {
