@@ -18,7 +18,8 @@
 //                      is inside cache_replay); records the effective ISA
 //   policy_sweep_memo  RtPredictionCache memoization of the paper's 25-cell
 //                      policy grid vs always-resimulating (target >50% hit
-//                      rate, visible in obs_metrics)
+//                      rate, visible in obs_metrics; 150 simulation
+//                      requests: 50 predictions x 3 runs each)
 //   policy_sweep_batch ExplorerConfig::batch (whole grid in one
 //                      simulate_batch wave) vs the per-cell sweep
 //   timed_replay       memtime-timed replay (split hit/miss latencies,
@@ -622,6 +623,7 @@ int main(int argc, char** argv) {
         .set("speedup", speedup)
         .set("rt_cache_hits", static_cast<std::size_t>(st.hits))
         .set("rt_cache_misses", static_cast<std::size_t>(st.misses))
+        .set("sim_requests", static_cast<std::size_t>(st.hits + st.misses))
         .set("rt_cache_hit_rate", st.hit_rate())
         .set("same_selection", identical);
     record.set("policy_sweep_memo", s);

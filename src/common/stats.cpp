@@ -65,8 +65,6 @@ void SampleStats::add(double x) {
   sorted_ = false;
 }
 
-void SampleStats::finalize() { ensure_sorted(); }
-
 void SampleStats::ensure_sorted() const {
   if (!sorted_) {
     auto& s = const_cast<std::vector<double>&>(samples_);
@@ -88,15 +86,32 @@ double SampleStats::stddev() const {
   return std::sqrt(s2 / static_cast<double>(samples_.size()));
 }
 
-double SampleStats::percentile(double q) const {
+SampleStats::Rank SampleStats::rank(double q) const {
   STAC_REQUIRE(q >= 0.0 && q <= 1.0);
   STAC_REQUIRE_MSG(!samples_.empty(), "percentile of empty sample set");
-  ensure_sorted();
   const double pos = q * static_cast<double>(samples_.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= samples_.size()) return samples_.back();
-  return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
+  return {lo, pos - static_cast<double>(lo)};
+}
+
+double SampleStats::percentile(double q) const {
+  const Rank r = rank(q);
+  ensure_sorted();
+  if (r.lo + 1 >= samples_.size()) return samples_.back();
+  return samples_[r.lo] * (1.0 - r.frac) + samples_[r.lo + 1] * r.frac;
+}
+
+double SampleStats::select_percentile(double q) {
+  const Rank r = rank(q);
+  if (sorted_) return percentile(q);
+  if (r.lo + 1 >= samples_.size())
+    return *std::max_element(samples_.begin(), samples_.end());
+  // The lower order statistic lands at lo; the upper one is the least
+  // element of the partition above it.
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  const double upper = *std::min_element(nth + 1, samples_.end());
+  return *nth * (1.0 - r.frac) + upper * r.frac;
 }
 
 double SampleStats::percentile_or(double q, double fallback) const {

@@ -44,8 +44,8 @@ class StreamingStats {
 
 /// Retains all samples; exact quantiles via linear interpolation between
 /// order statistics (type-7, same convention as numpy.percentile).  The
-/// first order-statistic query sorts the samples in place; finalize() does
-/// it up front, so a shared instance's const readers never write.
+/// first order-statistic query sorts the samples in place, so an instance
+/// shared between threads must not be queried concurrently.
 class SampleStats {
  public:
   SampleStats() = default;
@@ -67,15 +67,25 @@ class SampleStats {
   /// non-throwing form for paths where zero completions is survivable
   /// (degraded testbed runs, chaos experiments).
   [[nodiscard]] double percentile_or(double q, double fallback) const;
+  /// percentile(q) found by selection instead of a full sort: O(n) for
+  /// unsorted samples.  It interpolates between the same two order
+  /// statistics, so it returns the bit pattern percentile(q) would.  It
+  /// leaves the samples partly reordered (unsorted).  Throws
+  /// ContractViolation on an empty sample set.
+  [[nodiscard]] double select_percentile(double q);
   [[nodiscard]] double median() const { return percentile(0.5); }
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] std::span<const double> samples() const { return samples_; }
 
-  /// Sort now rather than on the first order-statistic query.
-  void finalize();
-
  private:
+  /// Type-7 position of quantile q: the lower order statistic's index and
+  /// the interpolation weight of the one above it.
+  struct Rank {
+    std::size_t lo;
+    double frac;
+  };
+  [[nodiscard]] Rank rank(double q) const;
   void ensure_sorted() const;
 
   std::vector<double> samples_;

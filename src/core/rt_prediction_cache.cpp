@@ -7,18 +7,16 @@
 
 namespace stac::core {
 
-namespace {
-
-/// Share a result only once its response times are sorted: memo hits hand
-/// one result to many readers (pool workers among them), and their const
-/// percentile queries must then never sort it in place.  (Queue delays are
-/// only read through mean() and samples(), which never sort.)
-std::shared_ptr<const queueing::GGkResult> publish(queueing::GGkResult r) {
-  r.response_times.finalize();
-  return std::make_shared<const queueing::GGkResult>(std::move(r));
+GGkSummary GGkSummary::of(queueing::GGkResult result) {
+  GGkSummary s;
+  s.mean_rt = result.response_times.mean();
+  if (!result.response_times.empty())
+    s.p95_rt = result.response_times.select_percentile(0.95);
+  s.mean_queue_delay = result.mean_queue_delay;
+  s.completed = result.completed;
+  s.boosted_queries = result.boosted_queries;
+  return s;
 }
-
-}  // namespace
 
 RtPredictionCache::Key RtPredictionCache::make_key(
     const queueing::GGkConfig& c) {
@@ -47,13 +45,12 @@ std::size_t RtPredictionCache::KeyHash::operator()(const Key& k) const noexcept 
   return static_cast<std::size_t>(h);
 }
 
-std::shared_ptr<const queueing::GGkResult> RtPredictionCache::simulate(
-    const queueing::GGkConfig& config) {
+GGkSummary RtPredictionCache::simulate(const queueing::GGkConfig& config) {
   // With chaos armed the simulator consults the global FaultInjector per
   // service draw — results depend on hidden state, so never cache (in
   // either direction: no lookups, no inserts).
   if (!enabled_ || FaultInjector::global().armed())
-    return publish(queueing::simulate_ggk(config));
+    return GGkSummary::of(queueing::simulate_ggk(config));
 
   const Key key = make_key(config);
   {
@@ -65,7 +62,7 @@ std::shared_ptr<const queueing::GGkResult> RtPredictionCache::simulate(
     }
   }
   obs::MetricsRegistry::global().counter("rt_cache.misses").add();
-  auto result = publish(queueing::simulate_ggk(config));
+  const GGkSummary result = GGkSummary::of(queueing::simulate_ggk(config));
   std::size_t entries = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -79,10 +76,9 @@ std::shared_ptr<const queueing::GGkResult> RtPredictionCache::simulate(
   return result;
 }
 
-std::vector<std::shared_ptr<const queueing::GGkResult>>
-RtPredictionCache::simulate_batch(
+std::vector<GGkSummary> RtPredictionCache::simulate_batch(
     const std::vector<queueing::GGkConfig>& configs) {
-  std::vector<std::shared_ptr<const queueing::GGkResult>> out(configs.size());
+  std::vector<GGkSummary> out(configs.size());
   if (configs.empty()) return out;
   auto& registry = obs::MetricsRegistry::global();
 
@@ -90,17 +86,19 @@ RtPredictionCache::simulate_batch(
     // No storage either way, but the cells still share streams and arena.
     auto fresh = queueing::simulate_ggk_batch(configs);
     for (std::size_t i = 0; i < fresh.size(); ++i)
-      out[i] = publish(std::move(fresh[i]));
+      out[i] = GGkSummary::of(std::move(fresh[i]));
     return out;
   }
 
   // Resolve hits and collect the distinct missing keys in first-seen order
   // under one lock pass; the simulations run outside the lock.
+  constexpr std::size_t kHit = static_cast<std::size_t>(-1);
   std::vector<Key> keys;
   keys.reserve(configs.size());
   for (const queueing::GGkConfig& c : configs) keys.push_back(make_key(c));
   std::unordered_map<Key, std::size_t, KeyHash> miss_slot;
   std::vector<std::size_t> miss_first;  // index of each key's first miss
+  std::vector<std::size_t> slot_of(configs.size(), kHit);  // miss slot per i
   std::uint64_t hits = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -108,11 +106,15 @@ RtPredictionCache::simulate_batch(
       if (const auto it = map_.find(keys[i]); it != map_.end()) {
         out[i] = it->second;
         ++hits;
-      } else if (miss_slot.try_emplace(keys[i], miss_first.size()).second) {
-        miss_first.push_back(i);
-      } else {
-        ++hits;  // duplicate of an in-batch miss: resolved without a run
+        continue;
       }
+      const auto [slot, first] =
+          miss_slot.try_emplace(keys[i], miss_first.size());
+      if (first)
+        miss_first.push_back(i);
+      else
+        ++hits;  // duplicate of an in-batch miss: resolved without a run
+      slot_of[i] = slot->second;
     }
     stats_.hits += hits;
     stats_.misses += miss_first.size();
@@ -126,10 +128,9 @@ RtPredictionCache::simulate_batch(
   for (const std::size_t i : miss_first) to_run.push_back(configs[i]);
   auto fresh = queueing::simulate_ggk_batch(to_run);
 
-  std::vector<std::shared_ptr<const queueing::GGkResult>> computed(
-      fresh.size());
+  std::vector<GGkSummary> computed(fresh.size());
   for (std::size_t j = 0; j < fresh.size(); ++j)
-    computed[j] = publish(std::move(fresh[j]));
+    computed[j] = GGkSummary::of(std::move(fresh[j]));
   std::size_t entries = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -141,7 +142,7 @@ RtPredictionCache::simulate_batch(
   }
   registry.gauge("rt_cache.size").set(static_cast<double>(entries));
   for (std::size_t i = 0; i < configs.size(); ++i)
-    if (out[i] == nullptr) out[i] = computed[miss_slot.at(keys[i])];
+    if (slot_of[i] != kHit) out[i] = computed[slot_of[i]];
   return out;
 }
 

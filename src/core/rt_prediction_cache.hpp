@@ -16,6 +16,10 @@
 // tests/queueing/ggk_fast_test.cpp hold that line).  Chaos runs bypass the
 // cache entirely: with a FaultPlan armed, simulate_ggk is no longer pure.
 //
+// An entry is a GGkSummary — the five numbers a prediction reads — not the
+// run's sample vectors.  Its p95 is taken once, by selection, while the run
+// is fresh; a hit copies the summary out of the map.
+//
 // Hit/miss counters are exported through obs::MetricsRegistry as
 // "rt_cache.hits" / "rt_cache.misses" (always-live, like the fault-path
 // counters) so benchmarks and the CI smoke can assert on reuse rates.
@@ -23,13 +27,34 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 
 #include "queueing/ggk_simulator.hpp"
 
 namespace stac::core {
+
+/// What a prediction reads from one G/G/k run.
+struct GGkSummary {
+  double mean_rt = 0.0;  ///< response_times.mean(); 0 when none completed
+  /// response_times.percentile(0.95); NaN when none completed (a fault-
+  /// degraded run), which marks the prediction as "no data".
+  double p95_rt = std::numeric_limits<double>::quiet_NaN();
+  double mean_queue_delay = 0.0;
+  std::size_t completed = 0;
+  std::size_t boosted_queries = 0;
+
+  /// Summarize a fresh run.  Consumes it: the p95 is found by selection,
+  /// which reorders the response-time samples.
+  [[nodiscard]] static GGkSummary of(queueing::GGkResult result);
+  /// Share of counted queries that ran boosted; 0 when none completed.
+  [[nodiscard]] double boosted_fraction() const {
+    return completed > 0 ? static_cast<double>(boosted_queries) /
+                               static_cast<double>(completed)
+                         : 0.0;
+  }
+};
 
 class RtPredictionCache {
  public:
@@ -47,13 +72,12 @@ class RtPredictionCache {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Return the cached result for a bit-identical config, or simulate and
+  /// Return the cached summary for a bit-identical config, or simulate and
   /// remember.  Thread-safe; the simulation itself runs outside the lock so
   /// parallel sweep cells never serialize on a miss (two workers racing on
   /// the same key both simulate — the results are identical by
   /// construction, so either insert is correct).
-  [[nodiscard]] std::shared_ptr<const queueing::GGkResult> simulate(
-      const queueing::GGkConfig& config);
+  [[nodiscard]] GGkSummary simulate(const queueing::GGkConfig& config);
 
   /// Batch lookup: results[i] is bit-identical to simulate(configs[i]).
   /// All misses run through ONE simulate_ggk_batch call (shared CRN
@@ -63,8 +87,8 @@ class RtPredictionCache {
   /// simulated keys as misses.  Chaos/disabled runs bypass storage but
   /// still batch — simulate_ggk_batch replays faults per (seed, ordinal),
   /// so even chaos batches match the per-cell entry point bit for bit.
-  [[nodiscard]] std::vector<std::shared_ptr<const queueing::GGkResult>>
-  simulate_batch(const std::vector<queueing::GGkConfig>& configs);
+  [[nodiscard]] std::vector<GGkSummary> simulate_batch(
+      const std::vector<queueing::GGkConfig>& configs);
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -93,8 +117,7 @@ class RtPredictionCache {
   bool enabled_;
   std::size_t capacity_;
   mutable std::mutex mu_;
-  std::unordered_map<Key, std::shared_ptr<const queueing::GGkResult>, KeyHash>
-      map_;
+  std::unordered_map<Key, GGkSummary, KeyHash> map_;
   Stats stats_;
 };
 

@@ -1,7 +1,6 @@
 #include "core/rt_predictor.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.hpp"
 
@@ -10,7 +9,6 @@ namespace stac::core {
 using profiler::Profile;
 using profiler::RuntimeCondition;
 using queueing::GGkConfig;
-using queueing::GGkResult;
 
 const char* degradation_rung_name(DegradationRung rung) {
   switch (rung) {
@@ -177,18 +175,11 @@ RtPrediction RtPredictor::predict_for_profile(
   g.queries = config_.sim_queries;
   g.warmup = config_.sim_warmup;
   g.seed = config_.seed;
-  const auto r_ptr = sim_cache_.simulate(g);
-  const GGkResult& r = *r_ptr;
-  // A fault-degraded simulation can complete zero queries; NaN marks the
-  // prediction as "no data" instead of throwing out of the predictor.
-  out.mean_rt = r.response_times.mean();
-  out.p95_rt = r.response_times.percentile_or(
-      0.95, std::numeric_limits<double>::quiet_NaN());
+  const GGkSummary r = sim_cache_.simulate(g);
+  out.mean_rt = r.mean_rt;
+  out.p95_rt = r.p95_rt;
   out.mean_queue_delay = r.mean_queue_delay;
-  out.boosted_fraction =
-      r.completed > 0 ? static_cast<double>(r.boosted_queries) /
-                            static_cast<double>(r.completed)
-                      : 0.0;
+  out.boosted_fraction = r.boosted_fraction();
   out.norm_mean_rt = out.mean_rt / scales.scaled_base_primary;
   out.norm_p95_rt = out.p95_rt / scales.scaled_base_primary;
   return out;
@@ -231,8 +222,12 @@ std::vector<RtPrediction> RtPredictor::predict_batch(
 
   std::vector<GGkConfig> wave;
   for (std::size_t iter = 0; iter < config_.feedback_iterations; ++iter) {
+    // The last iteration's collocated run would feed only the dynamics of
+    // an iteration that never comes (see predict()).
+    const bool last = iter + 1 == config_.feedback_iterations;
+    const std::size_t stride = last ? 1 : 2;
     wave.clear();
-    wave.reserve(2 * n);
+    wave.reserve(stride * n);
     for (std::size_t i = 0; i < n; ++i) {
       const RuntimeCondition& condition = conditions[i];
       LoopState& s = state[i];
@@ -271,26 +266,20 @@ std::vector<RtPrediction> RtPredictor::predict_batch(
       gc.boost_prevalence = s.prevalence_c;
       gc.seed = config_.seed + 1000 + iter;
       wave.push_back(gp);
-      wave.push_back(gc);
+      if (!last) wave.push_back(gc);
     }
 
-    const auto results = sim_cache_.simulate_batch(wave);
+    const std::vector<GGkSummary> results = sim_cache_.simulate_batch(wave);
     for (std::size_t i = 0; i < n; ++i) {
       LoopState& s = state[i];
-      const GGkResult& rp = *results[2 * i];
-      const GGkResult& rc = *results[2 * i + 1];
-      out[i].mean_rt = rp.response_times.mean();
-      out[i].p95_rt = rp.response_times.percentile_or(
-          0.95, std::numeric_limits<double>::quiet_NaN());
+      const GGkSummary& rp = results[stride * i];
+      out[i].mean_rt = rp.mean_rt;
+      out[i].p95_rt = rp.p95_rt;
       out[i].mean_queue_delay = rp.mean_queue_delay;
-      out[i].boosted_fraction =
-          rp.completed > 0 ? static_cast<double>(rp.boosted_queries) /
-                                 static_cast<double>(rp.completed)
-                           : 0.0;
-      const double boost_c =
-          rc.completed > 0 ? static_cast<double>(rc.boosted_queries) /
-                                 static_cast<double>(rc.completed)
-                           : 0.0;
+      out[i].boosted_fraction = rp.boosted_fraction();
+      if (last) continue;
+      const GGkSummary& rc = results[stride * i + 1];
+      const double boost_c = rc.boosted_fraction();
       s.dynamics = {rp.mean_queue_delay / s.scales.scaled_base_primary,
                     out[i].boosted_fraction,
                     rc.mean_queue_delay / s.scales.scaled_base_collocated,
@@ -360,10 +349,15 @@ RtPrediction RtPredictor::predict(const RuntimeCondition& condition) const {
     gp.queries = config_.sim_queries;
     gp.warmup = config_.sim_warmup;
     gp.seed = config_.seed + iter;
-    const auto rp_ptr = sim_cache_.simulate(gp);
-    const GGkResult& rp = *rp_ptr;
+    const GGkSummary rp = sim_cache_.simulate(gp);
+    out.mean_rt = rp.mean_rt;
+    out.p95_rt = rp.p95_rt;
+    out.mean_queue_delay = rp.mean_queue_delay;
+    out.boosted_fraction = rp.boosted_fraction();
 
-    // Collocated side, for its feedback features only.
+    // Collocated side, for its feedback features only.  Its EA query counts
+    // toward the rung on every iteration, but the last iteration's run
+    // would feed only the dynamics of an iteration that never comes.
     const RuntimeCondition swapped = condition.swapped();
     GGkConfig gc = gp;
     gc.utilization = swapped.util_primary;
@@ -379,23 +373,11 @@ RtPrediction RtPredictor::predict(const RuntimeCondition& condition) const {
       gc.effective_allocation = eqc.ea;
       out.rung = std::max(out.rung, eqc.rung);
     }
+    if (iter + 1 == config_.feedback_iterations) break;
     gc.boost_prevalence = prevalence_c;
     gc.seed = config_.seed + 1000 + iter;
-    const auto rc_ptr = sim_cache_.simulate(gc);
-    const GGkResult& rc = *rc_ptr;
-
-    out.mean_rt = rp.response_times.mean();
-    out.p95_rt = rp.response_times.percentile_or(
-        0.95, std::numeric_limits<double>::quiet_NaN());
-    out.mean_queue_delay = rp.mean_queue_delay;
-    out.boosted_fraction =
-        rp.completed > 0 ? static_cast<double>(rp.boosted_queries) /
-                               static_cast<double>(rp.completed)
-                         : 0.0;
-    const double boost_c =
-        rc.completed > 0 ? static_cast<double>(rc.boosted_queries) /
-                               static_cast<double>(rc.completed)
-                         : 0.0;
+    const GGkSummary rc = sim_cache_.simulate(gc);
+    const double boost_c = rc.boosted_fraction();
     dynamics = {rp.mean_queue_delay / scales.scaled_base_primary,
                 out.boosted_fraction,
                 rc.mean_queue_delay / scales.scaled_base_collocated,

@@ -522,6 +522,9 @@ GGkResult simulate_fast(const GGkConfig& config, const Derived& d,
   }
   core.jobs.reserve(count);
   if (d.boosting) timeouts.reserve(count);
+  // The run stops at exactly d.target counted completions.
+  core.result.response_times.reserve(d.target);
+  core.result.queue_delays.reserve(d.target);
   std::size_t timeout_head = 0;
   std::size_t next_arrival = 0;
   // Virtual sequence numbers mirroring the legacy push order: the initial

@@ -135,6 +135,8 @@ void Testbed::advance_to(double t) {
     }
   }
   const double dt = std::max(0.0, t - now_);
+  if (t != now_)
+    for (WlState& s : wl_) s.completions_current = false;
   if (dt > 0.0) {
     // Update occupancy and integrate work done at the held rates.
     occupancy_.advance(dt);
@@ -164,6 +166,7 @@ void Testbed::recompute_rates() {
         s.cfg.time_scale * s.cfg.model->mean_service_time(eff);
     const double old_rate = s.next_rate;
     s.next_rate = 1.0 / mean_service;
+    if (s.next_rate != old_rate) s.completions_current = false;
     // Execution rate moved: previously scheduled completion times are
     // wrong for this workload — reschedule them (lazy deletion skips the
     // stale events).
@@ -185,6 +188,8 @@ void Testbed::recompute_rates() {
 
 void Testbed::reschedule_completions(std::uint32_t wlid) {
   WlState& s = wl_[wlid];
+  if (s.completions_current) return;
+  s.completions_current = true;
   for (std::size_t qid : s.in_service) {
     Query& q = s.queries[qid];
     ++q.gen;
@@ -208,6 +213,7 @@ void Testbed::start_service(std::uint32_t wlid, std::size_t qid) {
   Query& q = s.queries[qid];
   q.start = now_;
   s.in_service.push_back(qid);
+  s.completions_current = false;
   // §3.3: when a query begins processing, time waiting in the system is
   // compared against the warning — a query may start already overdue.
   if (!q.boosted &&
@@ -275,6 +281,7 @@ void Testbed::handle_completion(std::uint32_t wlid, std::uint32_t qid,
   q.done = true;
   s.in_service.erase(
       std::find(s.in_service.begin(), s.in_service.end(), qid));
+  s.completions_current = false;
   if (q.boosted) set_boost(wlid, false);
 
   ++s.total_completed;

@@ -192,6 +192,10 @@ class Testbed {
     std::uint32_t boost_refs = 0;
     double scaled_base_service = 0.0;
     std::uint32_t lease_gen = 0;  ///< invalidates stale kLease events
+    /// Every in-service query's queued completion was computed at the
+    /// current time, rate and in-service set, so rescheduling them again
+    /// would only push exact duplicates (stale no-ops when popped).
+    bool completions_current = false;
     // accumulators
     TestbedWorkloadResult result;
     double eff_ways_integral = 0.0;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -149,9 +151,44 @@ TEST(SampleStats, MeanDoesNotDependOnSortState) {
   EXPECT_EQ(st.mean(), 0.25);
   (void)st.median();  // sorts in place
   EXPECT_EQ(st.mean(), 0.25);
-  added.finalize();
+  EXPECT_EQ(added.min(), -1e16);  // sorts in place
   EXPECT_EQ(added.mean(), 0.25);
-  EXPECT_EQ(added.min(), -1e16);
+}
+
+/// select_percentile(q) on a fresh copy against the sort-based
+/// percentile(q) on another, compared as bit patterns.
+void expect_selection_matches_sort(const std::vector<double>& xs) {
+  for (const double q : {0.0, 0.05, 0.5, 0.95, 0.99, 1.0}) {
+    SampleStats sorted(xs);
+    SampleStats selected(xs);
+    const double want = sorted.percentile(q);
+    const double got = selected.select_percentile(q);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "n=" << xs.size() << " q=" << q;
+    EXPECT_EQ(selected.mean(), sorted.mean());
+    EXPECT_EQ(selected.percentile(q), want);  // still queryable afterwards
+  }
+}
+
+TEST(SampleStats, SelectedPercentileEqualsSortedBitwise) {
+  expect_selection_matches_sort({3.5});
+  expect_selection_matches_sort({2.0, 1.0});
+  expect_selection_matches_sort(std::vector<double>(37, 0.7));
+  Rng rng(41);
+  std::vector<double> ties;  // five distinct values over 1,201 samples
+  for (int i = 0; i < 1201; ++i)
+    ties.push_back(std::floor(rng.uniform() * 5.0) * 0.1);
+  expect_selection_matches_sort(ties);
+  std::vector<double> heavy;  // lognormal sojourn-like, all distinct
+  for (int i = 0; i < 1200; ++i)
+    heavy.push_back(std::exp(rng.normal(0.0, 1.0)));
+  expect_selection_matches_sort(heavy);
+}
+
+TEST(SampleStats, SelectedPercentileOfEmptyThrows) {
+  SampleStats st;
+  EXPECT_THROW((void)st.select_percentile(0.95), ContractViolation);
 }
 
 TEST(Histogram, BinsAndClamping) {

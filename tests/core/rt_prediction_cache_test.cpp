@@ -59,15 +59,32 @@ GGkConfig small_sim(std::uint64_t seed) {
   return c;
 }
 
+/// Field-by-field bit-pattern equality (NaN p95s compare equal).
+void expect_bit_identical(const GGkSummary& a, const GGkSummary& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean_rt),
+            std::bit_cast<std::uint64_t>(b.mean_rt));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.p95_rt),
+            std::bit_cast<std::uint64_t>(b.p95_rt));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean_queue_delay),
+            std::bit_cast<std::uint64_t>(b.mean_queue_delay));
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.boosted_queries, b.boosted_queries);
+}
+
 TEST(RtPredictionCache, HitReturnsBitIdenticalResult) {
   RtPredictionCache cache;
   const GGkConfig c = small_sim(5);
-  const auto first = cache.simulate(c);
-  const auto second = cache.simulate(c);
-  EXPECT_EQ(first.get(), second.get());  // the very same object
+  const GGkSummary first = cache.simulate(c);
+  const GGkSummary second = cache.simulate(c);
+  expect_bit_identical(first, second);
+  // The summary reads exactly what the fresh run's sort-based queries do.
   const GGkResult fresh = queueing::simulate_ggk(c);
-  EXPECT_EQ(first->completed, fresh.completed);
-  EXPECT_EQ(first->response_times.mean(), fresh.response_times.mean());
+  EXPECT_EQ(first.completed, fresh.completed);
+  EXPECT_EQ(first.boosted_queries, fresh.boosted_queries);
+  EXPECT_EQ(first.mean_rt, fresh.response_times.mean());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(first.p95_rt),
+            std::bit_cast<std::uint64_t>(fresh.response_times.percentile(0.95)));
+  EXPECT_EQ(first.mean_queue_delay, fresh.mean_queue_delay);
   const auto st = cache.stats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 1u);
@@ -76,31 +93,26 @@ TEST(RtPredictionCache, HitReturnsBitIdenticalResult) {
 TEST(RtPredictionCache, ConcurrentMemoHitReadersNeverWrite) {
   RtPredictionCache cache;
   const GGkConfig c = small_sim(6);
-  const GGkResult fresh = queueing::simulate_ggk(c);
-  const double want_mean = fresh.response_times.mean();
-  const double want_p95 = fresh.response_times.percentile(0.95);
-  (void)cache.simulate(c);  // miss: the result is stored
+  const GGkSummary want = cache.simulate(c);  // miss: the summary is stored
 
-  // Two readers share the stored result and ask for order statistics at
-  // the same time; a reader that sorted it in place would race the other
-  // (the TSan leg runs this test).
-  auto read = [&](double& mean, double& p95) {
-    const auto hit = cache.simulate(c);
-    p95 = hit->response_times.percentile(0.95);
-    mean = hit->response_times.mean();
-  };
-  double mean_a = 0.0, p95_a = 0.0, mean_b = 0.0, p95_b = 0.0;
-  std::thread a(read, std::ref(mean_a), std::ref(p95_a));
-  std::thread b(read, std::ref(mean_b), std::ref(p95_b));
+  // Two readers hit the stored entry at the same time; each gets its own
+  // copy, so neither can disturb the other (the TSan leg runs this test).
+  GGkSummary a_hit, b_hit;
+  std::thread a([&] { a_hit = cache.simulate(c); });
+  std::thread b([&] { b_hit = cache.simulate(c); });
   a.join();
   b.join();
   EXPECT_EQ(cache.stats().hits, 2u);
-  for (const double mean : {mean_a, mean_b})
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(mean),
-              std::bit_cast<std::uint64_t>(want_mean));
-  for (const double p95 : {p95_a, p95_b})
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(p95),
-              std::bit_cast<std::uint64_t>(want_p95));
+  expect_bit_identical(a_hit, want);
+  expect_bit_identical(b_hit, want);
+}
+
+TEST(RtPredictionCache, SummaryOfEmptyRunIsNoData) {
+  const GGkSummary s = GGkSummary::of(GGkResult{});
+  EXPECT_EQ(s.completed, 0u);
+  EXPECT_EQ(s.mean_rt, 0.0);
+  EXPECT_TRUE(std::isnan(s.p95_rt));
+  EXPECT_EQ(s.boosted_fraction(), 0.0);
 }
 
 TEST(RtPredictionCache, KeyIsBitExactOverEveryField) {
@@ -136,7 +148,7 @@ TEST(RtPredictionCache, DisabledCacheNeverStores) {
 TEST(RtPredictionCache, ArmedChaosBypassesInBothDirections) {
   RtPredictionCache cache;
   const GGkConfig c = small_sim(5);
-  const auto clean = cache.simulate(c);  // miss, stored
+  const GGkSummary clean = cache.simulate(c);  // miss, stored
   {
     FaultPlan plan;
     plan.seed = 99;
@@ -145,15 +157,17 @@ TEST(RtPredictionCache, ArmedChaosBypassesInBothDirections) {
               .probability = 0.3,
               .latency = 5.0});
     FaultScope scope(plan);
-    const auto chaotic = cache.simulate(c);
-    // Not served from the cache (the chaotic run really injected), and the
-    // chaotic result did not overwrite the clean entry.
-    EXPECT_GT(chaotic->latency_injections, 0u);
-    EXPECT_NE(chaotic.get(), clean.get());
+    const GGkSummary chaotic = cache.simulate(c);
+    // Not served from the cache (the chaotic run really injected and ran
+    // slower), and the chaotic result did not overwrite the clean entry.
+    EXPECT_GT(FaultInjector::global().stats("ggk.service").injected, 0u);
+    EXPECT_GT(chaotic.mean_rt, clean.mean_rt);
+    EXPECT_EQ(cache.size(), 1u);
   }
-  const auto after = cache.simulate(c);
-  EXPECT_EQ(after.get(), clean.get());
-  EXPECT_EQ(after->latency_injections, 0u);
+  const GGkSummary after = cache.simulate(c);
+  expect_bit_identical(after, clean);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(RtPredictionCache, MemoizedPredictorMatchesUnmemoized) {

@@ -145,6 +145,28 @@ TEST(RtPredictor, PredictBatchBitIdenticalToSerialPredicts) {
   }
 }
 
+TEST(RtPredictor, OnePredictionSimulatesOnlyWhatItReads) {
+  // Every iteration reads its primary run; the collocated run feeds the
+  // next iteration's dynamics, so the last iteration skips it: 2k - 1
+  // simulations for k feedback iterations, on both entry points.
+  Profiler profiler(fast_config());
+  for (const std::size_t iters : {1u, 2u, 3u}) {
+    RtPredictorConfig cfg;
+    cfg.analytic_ea = true;
+    cfg.sim_queries = 1000;
+    cfg.feedback_iterations = iters;
+    RtPredictor serial(profiler, nullptr, nullptr, cfg);
+    (void)serial.predict(condition(0.7, 1.0));
+    const auto st = serial.cache_stats();
+    EXPECT_EQ(st.hits + st.misses, 2 * iters - 1) << iters;
+
+    RtPredictor batch(profiler, nullptr, nullptr, cfg);
+    (void)batch.predict_batch({condition(0.7, 1.0), condition(0.5, 2.0)});
+    const auto sb = batch.cache_stats();
+    EXPECT_EQ(sb.hits + sb.misses, 2 * (2 * iters - 1)) << iters;
+  }
+}
+
 TEST(RtPredictor, ProbeRungMatchesPredictRung) {
   Profiler profiler(fast_config());
   RtPredictorConfig cfg;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
+#include "common/stats.hpp"
 
 namespace stac::queueing {
 namespace {
@@ -28,6 +31,71 @@ TEST(GGkSimulator, MM1MeanResponseMatchesTheory) {
   const GGkResult r = simulate_ggk(c);
   const double expected = 1.0 / (1.0 - 0.7);
   EXPECT_NEAR(r.response_times.mean(), expected, expected * 0.15);
+}
+
+/// Mean queue delay over `seeds` independent runs of `c` (seeds 1..n),
+/// with the half-width of its two-sided 99.9% confidence interval.
+struct SeedMean {
+  double mean = 0.0;
+  double half_width = 0.0;
+};
+SeedMean mean_queue_delay_over_seeds(GGkConfig c, std::size_t seeds) {
+  StreamingStats st;
+  for (std::size_t s = 1; s <= seeds; ++s) {
+    c.seed = 1000 + s;
+    st.add(simulate_ggk(c).mean_queue_delay);
+  }
+  // Student t quantile for 99.9% two-sided at 23 degrees of freedom.
+  constexpr double kT = 3.768;
+  return {st.mean(), kT * st.stddev() / std::sqrt(static_cast<double>(seeds))};
+}
+
+/// Pollaczek-Khinchine mean wait of an M/G/1 queue with load rho and
+/// service mean `es` and coefficient of variation `cv`.
+double pollaczek_khinchine(double rho, double es, double cv) {
+  return rho * (1.0 + cv * cv) / (2.0 * (1.0 - rho)) * es;
+}
+
+// Analytical oracle: with one server and no boosting the simulator is an
+// M/G/1 queue (Poisson arrivals, log-normal demand), whose mean wait is
+// the Pollaczek-Khinchine value — Erlang C does not apply to log-normal
+// service.  The P-K mean must fall inside the 24-seed 99.9% interval.
+TEST(GGkSimulator, SingleServerWaitMatchesPollaczekKhinchine) {
+  for (const double cv : {0.5, 1.0}) {
+    GGkConfig c = base_config();
+    c.utilization = 0.6;
+    c.mean_service = 2.0;
+    c.service_cv = cv;
+    c.timeout_rel = 6.0;  // boosting off
+    c.queries = 20000;
+    c.warmup = 1000;
+    const SeedMean m = mean_queue_delay_over_seeds(c, 24);
+    const double want = pollaczek_khinchine(0.6, 2.0, cv);
+    EXPECT_NEAR(m.mean, want, m.half_width) << "cv=" << cv;
+    EXPECT_LT(m.half_width, 0.1 * want) << "interval too wide to test";
+  }
+}
+
+// With timeout 0 every query is overdue on arrival, so the class runs
+// boosted whenever it is busy: service is the base demand sped up by the
+// boost multiplier max(1, EA x ratio), and P-K holds at that service mean.
+TEST(GGkSimulator, ZeroTimeoutWaitMatchesPollaczekKhinchineAtBoostedRate) {
+  GGkConfig c = base_config();
+  c.utilization = 0.85;
+  c.mean_service = 2.0;
+  c.service_cv = 0.8;
+  c.timeout_rel = 0.0;
+  c.effective_allocation = 0.6;
+  c.allocation_ratio = 3.0;  // boost multiplier 1.8
+  c.queries = 20000;
+  c.warmup = 1000;
+  const double mult = 1.8;
+  const SeedMean m = mean_queue_delay_over_seeds(c, 24);
+  const double want = pollaczek_khinchine(0.85 / mult, 2.0 / mult, 0.8);
+  EXPECT_NEAR(m.mean, want, m.half_width);
+  EXPECT_LT(m.half_width, 0.1 * want) << "interval too wide to test";
+  // Unboosted, the same load would wait several times longer.
+  EXPECT_LT(want, 0.25 * pollaczek_khinchine(0.85, 2.0, 0.8));
 }
 
 TEST(GGkSimulator, ResponseGrowsWithUtilization) {
