@@ -17,29 +17,10 @@
 
 #include "ml/decision_tree.hpp"
 #include "ml/random_forest.hpp"
+#include "test_digest.hpp"
 
 namespace stac::ml {
 namespace {
-
-/// FNV-1a over raw bytes.
-struct Digest {
-  std::uint64_t h = 1469598103934665603ULL;
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ULL;
-    }
-  }
-  template <typename T>
-  void put(T v) {
-    bytes(&v, sizeof v);
-  }
-  void put_doubles(const std::vector<double>& v) {
-    put(v.size());
-    for (double d : v) put(d);  // bit patterns: -0.0 and +0.0 differ
-  }
-};
 
 std::uint64_t tree_digest(const DecisionTree& tree) {
   Digest d;
