@@ -90,11 +90,10 @@ void select_policy(const ExplorerConfig& config, PolicyExploration& out) {
 
 namespace {
 
-/// Evaluate the given cells (cell = i * g + j) into out's matrices.  Three
-/// bit-identical strategies: one predict_batch wave (config.batch), a
-/// pool-parallel per-cell sweep, or the serial loop.  Every cell's two
-/// predictions depend only on (condition, grid[i], grid[j]) and the
-/// predictor is pure, so strategy and cell order never change the values.
+/// Evaluate the given cells (cell = i * g + j) into out's matrices, pool-
+/// parallel or serially.  Every cell's two predictions depend only on
+/// (condition, grid[i], grid[j]) and the predictor is pure, so scheduling
+/// and cell order never change the values.
 void sweep_cells(const RtPredictor& predictor,
                  const RuntimeCondition& condition,
                  const ExplorerConfig& config,
@@ -102,27 +101,6 @@ void sweep_cells(const RtPredictor& predictor,
                  PolicyExploration& out) {
   if (cells.empty()) return;
   const std::size_t g = config.grid.size();
-
-  if (config.batch) {
-    // One wave: [cell0 primary, cell0 collocated, cell1 primary, ...].
-    std::vector<RuntimeCondition> wave;
-    wave.reserve(2 * cells.size());
-    for (const std::size_t cell : cells) {
-      RuntimeCondition c = condition;
-      c.timeout_primary = config.grid[cell / g];
-      c.timeout_collocated = config.grid[cell % g];
-      wave.push_back(c);
-      wave.push_back(c.swapped());
-    }
-    const std::vector<RtPrediction> preds = predictor.predict_batch(wave);
-    for (std::size_t k = 0; k < cells.size(); ++k) {
-      const std::size_t i = cells[k] / g;
-      const std::size_t j = cells[k] % g;
-      out.predicted_primary(i, j) = preds[2 * k].norm_p95_rt;
-      out.predicted_collocated(i, j) = preds[2 * k + 1].norm_p95_rt;
-    }
-    return;
-  }
 
   // One task per grid cell; each writes only its own two matrix slots and
   // RtPredictor::predict is const and self-seeded, so scheduling cannot

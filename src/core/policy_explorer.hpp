@@ -10,7 +10,7 @@
 //
 // Two sweep entry points share the prediction and selection code:
 //   * explore_policies — evaluate every grid cell (parallel per-cell
-//     predicts, or one predict_batch wave when `batch` is set);
+//     predicts);
 //   * explore_policies_incremental — diff the epoch's condition against an
 //     ExplorationMemo and re-simulate only cells the memo cannot answer
 //     (DESIGN.md §13).  Reuse is valid only when the model generation AND
@@ -43,11 +43,6 @@ struct ExplorerConfig {
   /// writes only its own matrix slots, so the result is bit-identical to a
   /// serial sweep regardless of thread count.
   bool parallel = true;
-  /// Route the sweep through RtPredictor::predict_batch instead of
-  /// per-cell predict calls: the whole grid's simulations run as one
-  /// batch-engine wave (shared CRN streams, one arena).  Bit-identical to
-  /// the per-cell sweep; `parallel` is ignored when set.
-  bool batch = false;
   /// Pool for the sweep (tests vary thread counts); null = the global pool.
   ThreadPool* pool = nullptr;
 };

@@ -11,8 +11,8 @@
 //
 // The key is the *bit pattern* of every GGkConfig field — doubles are
 // compared via std::bit_cast, never `==` — so a hit is guaranteed to return
-// exactly what a fresh simulation would have produced (the engines are
-// deterministic and bit-identical; tests/core/rt_predictor_test.cpp and
+// exactly what a fresh simulation would have produced (the engine is
+// deterministic; tests/core/rt_predictor_test.cpp and
 // tests/queueing/ggk_fast_test.cpp hold that line).  Chaos runs bypass the
 // cache entirely: with a FaultPlan armed, simulate_ggk is no longer pure.
 //
@@ -79,17 +79,6 @@ class RtPredictionCache {
   /// construction, so either insert is correct).
   [[nodiscard]] GGkSummary simulate(const queueing::GGkConfig& config);
 
-  /// Batch lookup: results[i] is bit-identical to simulate(configs[i]).
-  /// All misses run through ONE simulate_ggk_batch call (shared CRN
-  /// streams, one recycled arena — DESIGN.md §13), with within-batch
-  /// duplicate keys simulated once.  Accounting: map hits and within-batch
-  /// duplicates count as hits (no simulation ran for them), distinct
-  /// simulated keys as misses.  Chaos/disabled runs bypass storage but
-  /// still batch — simulate_ggk_batch replays faults per (seed, ordinal),
-  /// so even chaos batches match the per-cell entry point bit for bit.
-  [[nodiscard]] std::vector<GGkSummary> simulate_batch(
-      const std::vector<queueing::GGkConfig>& configs);
-
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -107,7 +96,7 @@ class RtPredictionCache {
 
  private:
   /// Every GGkConfig field, bit-exact: 8 doubles, 3 sizes, the seed, and
-  /// the two bools packed into the last word.
+  /// class_level_boost in the last word.
   using Key = std::array<std::uint64_t, 13>;
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept;

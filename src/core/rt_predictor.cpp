@@ -185,116 +185,6 @@ RtPrediction RtPredictor::predict_for_profile(
   return out;
 }
 
-std::vector<RtPrediction> RtPredictor::predict_batch(
-    const std::vector<RuntimeCondition>& conditions) const {
-  const std::size_t n = conditions.size();
-  std::vector<RtPrediction> out(n);
-  if (n == 0) return out;
-  const auto& cfg = profiler_.config();
-  const double ratio =
-      static_cast<double>(cfg.private_ways + cfg.shared_ways) /
-      static_cast<double>(cfg.private_ways);
-
-  // Per-condition loop state, mirroring predict() exactly: the lockstep
-  // batching only changes WHEN simulations run, never their configs, and
-  // simulate_ggk is a pure function of its config — so every per-condition
-  // value sequence is identical to the serial path's.
-  struct LoopState {
-    profiler::Profiler::PairScales scales;
-    double cv_p = 0.0, cv_c = 0.0;
-    std::vector<double> dynamics{0.0, 0.0, 0.0, 0.0};
-    double prevalence_p = 0.0, prevalence_c = 0.0;
-  };
-  std::vector<LoopState> state(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const RuntimeCondition& condition = conditions[i];
-    LoopState& s = state[i];
-    s.scales =
-        profiler_.pair_scales(condition.primary, condition.collocated);
-    const wl::WorkloadModel& wm = profiler_.model(condition.primary);
-    const wl::WorkloadModel& wc = profiler_.model(condition.collocated);
-    s.cv_p = wm.spec().use_microservice_graph ? 0.55 : wm.spec().service_cv;
-    s.cv_c = wc.spec().use_microservice_graph ? 0.55 : wc.spec().service_cv;
-    if (library_ && !library_->empty())
-      if (const Profile* near = library_->nearest(condition))
-        s.dynamics = near->dynamics;
-  }
-
-  std::vector<GGkConfig> wave;
-  for (std::size_t iter = 0; iter < config_.feedback_iterations; ++iter) {
-    // The last iteration's collocated run would feed only the dynamics of
-    // an iteration that never comes (see predict()).
-    const bool last = iter + 1 == config_.feedback_iterations;
-    const std::size_t stride = last ? 1 : 2;
-    wave.clear();
-    wave.reserve(stride * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const RuntimeCondition& condition = conditions[i];
-      LoopState& s = state[i];
-      const EaQuery eq = ea_for(condition, s.dynamics);
-      out[i].ea = eq.ea;
-      out[i].rung = std::max(out[i].rung, eq.rung);
-
-      GGkConfig gp;
-      gp.utilization = condition.util_primary;
-      gp.servers = cfg.servers;
-      gp.mean_service = s.scales.scaled_base_primary;
-      gp.service_cv = s.cv_p;
-      gp.timeout_rel = condition.timeout_primary;
-      gp.effective_allocation = out[i].ea;
-      gp.allocation_ratio = ratio;
-      gp.boost_prevalence = s.prevalence_p;
-      gp.queries = config_.sim_queries;
-      gp.warmup = config_.sim_warmup;
-      gp.seed = config_.seed + iter;
-
-      const RuntimeCondition swapped = condition.swapped();
-      GGkConfig gc = gp;
-      gc.utilization = swapped.util_primary;
-      gc.mean_service = s.scales.scaled_base_collocated;
-      gc.service_cv = s.cv_c;
-      gc.timeout_rel = swapped.timeout_primary;
-      {
-        const EaQuery eqc =
-            config_.analytic_ea
-                ? ea_for(swapped, s.dynamics)
-                : ea_for(swapped, {s.dynamics[2], s.dynamics[3],
-                                   s.dynamics[0], s.dynamics[1]});
-        gc.effective_allocation = eqc.ea;
-        out[i].rung = std::max(out[i].rung, eqc.rung);
-      }
-      gc.boost_prevalence = s.prevalence_c;
-      gc.seed = config_.seed + 1000 + iter;
-      wave.push_back(gp);
-      if (!last) wave.push_back(gc);
-    }
-
-    const std::vector<GGkSummary> results = sim_cache_.simulate_batch(wave);
-    for (std::size_t i = 0; i < n; ++i) {
-      LoopState& s = state[i];
-      const GGkSummary& rp = results[stride * i];
-      out[i].mean_rt = rp.mean_rt;
-      out[i].p95_rt = rp.p95_rt;
-      out[i].mean_queue_delay = rp.mean_queue_delay;
-      out[i].boosted_fraction = rp.boosted_fraction();
-      if (last) continue;
-      const GGkSummary& rc = results[stride * i + 1];
-      const double boost_c = rc.boosted_fraction();
-      s.dynamics = {rp.mean_queue_delay / s.scales.scaled_base_primary,
-                    out[i].boosted_fraction,
-                    rc.mean_queue_delay / s.scales.scaled_base_collocated,
-                    boost_c};
-      s.prevalence_p = out[i].boosted_fraction;
-      s.prevalence_c = boost_c;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].norm_mean_rt = out[i].mean_rt / state[i].scales.scaled_base_primary;
-    out[i].norm_p95_rt = out[i].p95_rt / state[i].scales.scaled_base_primary;
-  }
-  return out;
-}
-
 DegradationRung RtPredictor::probe_rung(
     const RuntimeCondition& condition) const {
   // Same starting dynamics as predict(): nearest profiled condition, or

@@ -94,17 +94,6 @@ class RtPredictor {
   [[nodiscard]] RtPrediction predict(
       const profiler::RuntimeCondition& condition) const;
 
-  /// Batched exploration-mode prediction: results[i] is bit-identical to
-  /// predict(conditions[i]).  The per-condition feedback loops advance in
-  /// lockstep — every iteration gathers ALL conditions' primary and
-  /// collocated G/G/k configs into one RtPredictionCache::simulate_batch
-  /// call, so the whole wave shares one simulation arena and one CRN
-  /// stream fetch per (seed, load) group (DESIGN.md §13).  This is how a
-  /// sub-10ms control epoch runs the §5.2 sweep: conditions differing only
-  /// in timeout collapse onto shared streams and memoized cells.
-  [[nodiscard]] std::vector<RtPrediction> predict_batch(
-      const std::vector<profiler::RuntimeCondition>& conditions) const;
-
   /// Which ladder rung answers for `condition` right now: one EA query
   /// seeded with the same initial dynamics predict() starts from — no
   /// simulation, no feedback loop.  The serving controller's health check

@@ -39,8 +39,7 @@ struct Job {
   std::uint32_t gen = 0;  ///< lazy-deletion key for queued completions
 };
 
-/// Config-derived constants shared by both engines (identical arithmetic is
-/// what makes the fast path bit-identical to the legacy one).
+/// Config-derived constants.
 struct Derived {
   double lambda = 0.0;
   double boost_mult = 1.0;
@@ -74,7 +73,7 @@ Derived derive(const GGkConfig& config) {
 
 /// Chaos hook: an injected service-latency spike inflates this job's
 /// demand.  Keyed on (seed, arrival ordinal) so the schedule is a pure
-/// function of the plan seed — both engines hit the same faults.
+/// function of the plan seed, not of event timing.
 void apply_service_fault(const GGkConfig& config, std::size_t ordinal,
                          Job& job, GGkResult& result) {
   if (!FaultInjector::global().armed()) return;
@@ -87,9 +86,8 @@ void apply_service_fault(const GGkConfig& config, std::size_t ordinal,
   }
 }
 
-/// Job accounting, FIFO queue and class-boost state shared by both event
-/// engines.  The engines differ only in how pending events are stored and
-/// how the arrival/demand randomness is sourced.
+/// Job accounting, FIFO queue and class-boost state; the event loop in
+/// simulate_events decides only which pending event fires next.
 struct Core {
   const GGkConfig& config;
   const Derived& d;
@@ -155,10 +153,10 @@ struct Core {
         static_cast<std::size_t>(-1);       ///< FIFO job to start, if any
   };
 
-  /// Shared completion bookkeeping once a job's work is verifiably done.
-  /// The engine must reschedule the class on `class_reverted` and only then
-  /// start `start_next` — the legacy event order, which fixes the sequence
-  /// numbers ties break on.
+  /// Completion bookkeeping once a job's work is verifiably done.  The
+  /// event loop must reschedule the class on `class_reverted` and only then
+  /// start `start_next`: that order fixes the sequence numbers ties break
+  /// on.
   CompleteResult complete(std::size_t j) {
     Job& job = jobs[j];
     job.done = true;
@@ -173,7 +171,6 @@ struct Core {
     }
     if (j >= config.warmup) {
       result.response_times.add(now - job.arrival);
-      result.queue_delays.add(job.start - job.arrival);
       queue_delay_sum += job.start - job.arrival;
       if (now - job.arrival < 0.0) ++result.negative_sojourns;
       if (job.overdue) ++result.boosted_queries;
@@ -195,129 +192,14 @@ struct Core {
 };
 
 // --------------------------------------------------------------------------
-// Legacy engine: one binary heap (std::push_heap/pop_heap) carrying
-// arrivals, timeouts and completions, with inline RNG draws.  Kept as the
-// reference implementation the fast engine is cross-checked against.
-// --------------------------------------------------------------------------
-
-enum class EvType : std::uint8_t { kArrival, kCompletion, kTimeout };
-
-struct Event {
-  double time;
-  std::uint64_t seq;
-  EvType type;
-  std::uint32_t job;
-  std::uint32_t gen;
-  [[nodiscard]] bool operator>(const Event& o) const {
-    return time != o.time ? time > o.time : seq > o.seq;
-  }
-};
-
-GGkResult simulate_legacy(const GGkConfig& config, const Derived& d) {
-  Rng rng(config.seed);
-  Core core(config, d);
-  core.jobs.reserve(config.queries + 8);
-
-  std::vector<Event> heap;
-  std::uint64_t seq = 0;
-  auto push = [&](double t, EvType type, std::uint32_t job,
-                  std::uint32_t gen) {
-    heap.push_back(Event{t, seq++, type, job, gen});
-    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-  };
-  auto schedule_completion = [&](std::size_t j) {
-    const double t = core.schedule(j);
-    push(t, EvType::kCompletion, static_cast<std::uint32_t>(j),
-         core.jobs[j].gen);
-  };
-  auto reschedule_all = [&]() {
-    for (std::size_t j : core.serving) schedule_completion(j);
-  };
-
-  std::size_t arrivals = 0;
-  push(rng.exponential(d.lambda), EvType::kArrival, 0, 0);
-
-  while (!heap.empty() && core.result.completed < d.target) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    const Event ev = heap.back();
-    heap.pop_back();
-    core.advance_to(ev.time);
-
-    switch (ev.type) {
-      case EvType::kArrival: {
-        if (arrivals < d.arrival_limit) {
-          push(core.now + rng.exponential(d.lambda), EvType::kArrival, 0, 0);
-        }
-        ++arrivals;
-        Job job;
-        job.arrival = core.now;
-        job.demand = config.service_cv > 0.0
-                         ? rng.lognormal_mean_cv(1.0, config.service_cv)
-                         : 1.0;
-        apply_service_fault(config, arrivals, job, core.result);
-        job.remaining = job.demand;
-        job.snap_time = core.now;
-        core.jobs.push_back(job);
-        const auto idx = core.jobs.size() - 1;
-        if (d.boosting)
-          push(core.now + d.timeout_abs, EvType::kTimeout,
-               static_cast<std::uint32_t>(idx), 0);
-        if (core.serving.size() < config.servers) {
-          core.jobs[idx].start = core.now;
-          core.serving.push_back(idx);
-          schedule_completion(idx);
-        } else {
-          core.fifo_q.push_back(idx);
-        }
-        break;
-      }
-      case EvType::kTimeout: {
-        Job& job = core.jobs[ev.job];
-        if (job.done || job.overdue) break;
-        job.overdue = true;
-        if (config.class_level_boost) {
-          if (core.boost_refs++ == 0) {
-            ++core.result.cos_switches;
-            reschedule_all();  // class switched
-          }
-        } else if (job.start >= 0.0) {
-          schedule_completion(ev.job);  // only this job speeds up
-        }
-        break;
-      }
-      case EvType::kCompletion: {
-        Job& job = core.jobs[ev.job];
-        if (job.done || job.gen != ev.gen) break;  // stale (lazy deletion)
-        core.materialize(job);
-        if (job.remaining > kResidualEps) {  // rate changed since scheduling
-          schedule_completion(ev.job);
-          break;
-        }
-        const Core::CompleteResult cr = core.complete(ev.job);
-        if (cr.class_reverted) reschedule_all();  // class reverted
-        if (cr.start_next != static_cast<std::size_t>(-1)) {
-          core.jobs[cr.start_next].start = core.now;
-          core.serving.push_back(cr.start_next);
-          schedule_completion(cr.start_next);
-        }
-        break;
-      }
-    }
-  }
-  core.finish();
-  return core.result;
-}
-
-// --------------------------------------------------------------------------
-// Common-random-number stream cache: the fast engine pre-draws the full
+// Common-random-number stream cache: the engine pre-draws the full
 // arrival/demand randomness of a run into reusable buffers keyed on
 // (seed, arrival rate, demand cv, count).  Replaying a policy grid — where
 // only the timeout and the boost rates change — then reuses one stream per
 // (seed, queries), so each cell is a replay, not a regeneration (the CRN
 // variance-reduction classic: grid cells differ only by the policy, never
-// by sampling noise).  The draw order matches the legacy engine's inline
-// draws exactly, so streams are bit-identical to what the legacy engine
-// would consume.
+// by sampling noise).  The draw order is that of one Rng drawing inline as
+// arrivals fire (tests/queueing/ggk_reference.hpp does exactly that).
 // --------------------------------------------------------------------------
 
 struct PredrawnStreams {
@@ -352,10 +234,9 @@ std::shared_ptr<const PredrawnStreams> generate_streams(std::uint64_t seed,
   s->arrival.resize(count);
   s->demand.resize(count);
   Rng rng(seed);
-  // Exact legacy draw order: the initial interarrival, then per arrival
-  // event k the successor's interarrival (while one is still scheduled)
-  // followed by job k's demand.  A prefix of this sequence is exactly what
-  // a legacy run consumes, so the pre-drawn values are bit-identical.
+  // Inline draw order: the initial interarrival, then per arrival event k
+  // the successor's interarrival (while one is still scheduled) followed by
+  // job k's demand.
   s->arrival[0] = rng.exponential(lambda);
   for (std::size_t k = 0; k < count; ++k) {
     if (k + 1 < count)
@@ -417,14 +298,14 @@ std::shared_ptr<const PredrawnStreams> crn_streams(std::uint64_t seed,
 }
 
 // --------------------------------------------------------------------------
-// Fast engine.  Arrivals replay from the sorted pre-drawn buffer and
+// Event loop.  Arrivals replay from the sorted pre-drawn buffer and
 // timeouts queue in a FIFO (arrival times are nondecreasing and the timeout
 // offset is constant, so timeout times are nondecreasing too); only
 // completions — the one event class that genuinely reorders — go through an
-// indexed 4-ary min-heap with lazy deletion keyed by job generation.  The
-// virtual sequence counter mirrors the legacy engine's push order exactly,
-// so ties on the time axis break identically and the processed event
-// sequence is the same event for event.
+// indexed 4-ary min-heap with lazy deletion keyed by job generation.  Every
+// event carries a sequence number in the order a single heap holding all
+// three kinds would have been pushed, so ties on the time axis break by
+// schedule order.
 // --------------------------------------------------------------------------
 
 struct CompletionEv {
@@ -441,7 +322,6 @@ class FourAryHeap {
  public:
   [[nodiscard]] bool empty() const { return h_.empty(); }
   [[nodiscard]] const CompletionEv& top() const { return h_.front(); }
-  void clear() { h_.clear(); }  // keeps capacity: batch replicas recycle it
 
   void push(const CompletionEv& e) {
     h_.push_back(e);
@@ -485,50 +365,21 @@ struct TimeoutEv {
   std::uint32_t job;
 };
 
-/// Per-replica state arena the batch entry point recycles from cell to
-/// cell: the job table, FIFO/server pools, timeout queue and the lazy-
-/// deletion completion heap keep their capacity across replicas, so a
-/// whole sweep allocates these once (cell-major layout — one cell's state
-/// is contiguous and cache-resident while it runs, then the next cell
-/// reuses the same storage).
-struct BatchArena {
-  std::vector<Job> jobs;
-  std::vector<std::size_t> fifo_q;
-  std::vector<std::size_t> serving;
-  std::vector<TimeoutEv> timeouts;
-  FourAryHeap completions;
-};
-
-GGkResult simulate_fast(const GGkConfig& config, const Derived& d,
-                        const PredrawnStreams& streams,
-                        BatchArena* arena = nullptr) {
+GGkResult simulate_events(const GGkConfig& config, const Derived& d,
+                          const PredrawnStreams& streams) {
   const std::size_t count = d.arrival_limit + 1;  // arrival ordinals 0..limit
 
   Core core(config, d);
   FourAryHeap completions;
   std::vector<TimeoutEv> timeouts;
-  if (arena != nullptr) {
-    // Adopt the arena's storage (clear keeps capacity); handed back below.
-    core.jobs = std::move(arena->jobs);
-    core.fifo_q = std::move(arena->fifo_q);
-    core.serving = std::move(arena->serving);
-    timeouts = std::move(arena->timeouts);
-    completions = std::move(arena->completions);
-    core.jobs.clear();
-    core.fifo_q.clear();
-    core.serving.clear();
-    timeouts.clear();
-    completions.clear();
-  }
   core.jobs.reserve(count);
   if (d.boosting) timeouts.reserve(count);
   // The run stops at exactly d.target counted completions.
   core.result.response_times.reserve(d.target);
-  core.result.queue_delays.reserve(d.target);
   std::size_t timeout_head = 0;
   std::size_t next_arrival = 0;
-  // Virtual sequence numbers mirroring the legacy push order: the initial
-  // arrival is "pushed" with seq 0 before the loop starts.
+  // Sequence numbers in single-heap push order: the initial arrival is
+  // "pushed" with seq 0 before the loop starts.
   std::uint64_t next_arrival_seq = 0;
   std::uint64_t seq = 1;
 
@@ -542,8 +393,7 @@ GGkResult simulate_fast(const GGkConfig& config, const Derived& d,
   };
 
   while (core.result.completed < d.target) {
-    // Pick the earliest of the three event sources by (time, seq) — the
-    // same total order the legacy heap pops in.
+    // Pick the earliest of the three event sources by (time, seq).
     int src = -1;
     double t = 0.0;
     std::uint64_t s = 0;
@@ -625,23 +475,7 @@ GGkResult simulate_fast(const GGkConfig& config, const Derived& d,
     }
   }
   core.finish();
-  if (arena != nullptr) {
-    arena->jobs = std::move(core.jobs);
-    arena->fifo_q = std::move(core.fifo_q);
-    arena->serving = std::move(core.serving);
-    arena->timeouts = std::move(timeouts);
-    arena->completions = std::move(completions);
-  }
   return core.result;
-}
-
-/// Shared argument validation for both entry points (bit-identity demands
-/// identical rejection behaviour too).
-void validate_config(const GGkConfig& config) {
-  STAC_REQUIRE(config.utilization > 0.0 && config.utilization < 1.0);
-  STAC_REQUIRE(config.servers >= 1);
-  STAC_REQUIRE(config.mean_service > 0.0);
-  STAC_REQUIRE(config.queries > config.warmup);
 }
 
 }  // namespace
@@ -676,80 +510,23 @@ std::size_t crn_stream_cache_size() {
 
 GGkResult simulate_ggk(const GGkConfig& config) {
   STAC_TRACE_SPAN(span, "ggk.simulate", "queueing");
-  validate_config(config);
+  STAC_REQUIRE(config.utilization > 0.0 && config.utilization < 1.0);
+  STAC_REQUIRE(config.servers >= 1);
+  STAC_REQUIRE(config.mean_service > 0.0);
+  STAC_REQUIRE(config.queries > config.warmup);
 
   const Derived d = derive(config);
-  GGkResult result;
-  if (config.fast_events) {
-    const std::size_t count = d.arrival_limit + 1;
-    const std::shared_ptr<const PredrawnStreams> streams =
-        crn_streams(config.seed, d.lambda, config.service_cv, count);
-    result = simulate_fast(config, d, *streams);
-  } else {
-    result = simulate_legacy(config, d);
-  }
+  const std::shared_ptr<const PredrawnStreams> streams = crn_streams(
+      config.seed, d.lambda, config.service_cv, d.arrival_limit + 1);
+  GGkResult result = simulate_events(config, d, *streams);
 
   span.arg("utilization", config.utilization);
   span.arg("completed", static_cast<std::uint64_t>(result.completed));
   span.arg("cos_switches", result.cos_switches);
-  span.arg("fast_events", static_cast<std::uint64_t>(config.fast_events));
   obs::count("ggk.runs");
   obs::count("ggk.completed", result.completed);
   obs::count("ggk.latency_injections", result.latency_injections);
   return result;
-}
-
-std::vector<GGkResult> simulate_ggk_batch(const std::vector<GGkConfig>& configs) {
-  STAC_TRACE_SPAN(span, "ggk.simulate_batch", "queueing");
-  std::vector<GGkResult> results;
-  results.reserve(configs.size());
-  if (configs.empty()) return results;
-
-  // One arena and one per-batch stream table for the whole sweep: a grid
-  // whose cells differ only in policy resolves to a single (seed, rate,
-  // cv, count) stream fetched exactly once, and every replica recycles the
-  // same job/heap storage.
-  BatchArena arena;
-  std::unordered_map<StreamKey, std::shared_ptr<const PredrawnStreams>,
-                     StreamKeyHash>
-      batch_streams;
-  std::size_t completed_total = 0;
-  std::size_t injections_total = 0;
-  for (const GGkConfig& config : configs) {
-    validate_config(config);
-    const Derived d = derive(config);
-    if (!config.fast_events) {
-      results.push_back(simulate_legacy(config, d));
-    } else {
-      const std::size_t count = d.arrival_limit + 1;
-      const StreamKey key{config.seed, std::bit_cast<std::uint64_t>(d.lambda),
-                          std::bit_cast<std::uint64_t>(config.service_cv),
-                          count};
-      auto& slot = batch_streams[key];
-      if (!slot)
-        slot = crn_streams(config.seed, d.lambda, config.service_cv, count);
-      results.push_back(simulate_fast(config, d, *slot, &arena));
-    }
-    completed_total += results.back().completed;
-    injections_total += results.back().latency_injections;
-  }
-
-  span.arg("cells", static_cast<std::uint64_t>(configs.size()));
-  span.arg("streams", static_cast<std::uint64_t>(batch_streams.size()));
-  // Always-live (like the CRN stream counters): batch reuse is the whole
-  // point of this entry point, so tests and benches can assert on it
-  // without flipping the obs runtime gate.
-  auto& registry = obs::MetricsRegistry::global();
-  registry.counter("ggk.batch.runs").add();
-  registry.counter("ggk.batch.cells").add(configs.size());
-  registry.counter("ggk.batch.streams_shared")
-      .add(configs.size() >= batch_streams.size()
-               ? configs.size() - batch_streams.size()
-               : 0);
-  obs::count("ggk.runs", configs.size());
-  obs::count("ggk.completed", completed_total);
-  obs::count("ggk.latency_injections", injections_total);
-  return results;
 }
 
 }  // namespace stac::queueing

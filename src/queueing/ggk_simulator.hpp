@@ -10,29 +10,19 @@
 // depends on queueing delay), which is why this is a discrete-event
 // simulation rather than a closed-form queueing formula.
 //
-// Two event engines share one job-accounting core (DESIGN.md §10):
-//   * legacy (`fast_events = false`): one std::push_heap/pop_heap binary
-//     heap carrying arrivals, timeouts and completions, with inline RNG
-//     draws — the reference implementation.
-//   * fast (`fast_events = true`, default): arrival and demand streams are
-//     pre-drawn into reusable buffers shared through a process-wide common-
-//     random-number cache keyed on (seed, rate, cv, count); arrivals replay
-//     from the sorted buffer, timeouts queue in a FIFO (their times are
-//     nondecreasing by construction), and only completions go through an
-//     indexed 4-ary min-heap with lazy deletion keyed by job generation.
-// Both engines process the identical event sequence and produce bit-
-// identical results (tests/queueing/ggk_fast_test.cpp sweeps the
-// adversarial corners).
-//
-// simulate_ggk_batch layers a third entry point on the fast engine for the
-// §5.2 policy sweep (DESIGN.md §13): many replicas advance through one
-// engine cell-major, with per-replica state recycled through a shared
-// arena and CRN streams fetched once per (seed, rate, cv, count) group —
-// per-cell results stay bit-identical to simulate_ggk.
+// The event engine (DESIGN.md §10): arrival and demand streams are pre-drawn
+// into reusable buffers shared through a process-wide common-random-number
+// cache keyed on (seed, rate, cv, count); arrivals replay from the sorted
+// buffer, timeouts queue in a FIFO (their times are nondecreasing by
+// construction), and only completions go through an indexed 4-ary min-heap
+// with lazy deletion keyed by job generation.  Ties on the time axis break
+// in schedule order.  tests/queueing/ggk_fast_test.cpp checks every result
+// field bit for bit against an independent single-binary-heap engine with
+// inline draws (tests/queueing/ggk_reference.hpp) and against a recorded
+// digest.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -68,10 +58,6 @@ struct GGkConfig {
   /// congestion-triggered class-wide speedup and mispredicts heavy-load
   /// long-timeout conditions badly — see DESIGN.md §5b).
   bool class_level_boost = true;
-  /// Event-engine selection (see header note).  Results are bit-identical
-  /// either way; `true` replays pre-drawn streams through the 4-ary heap
-  /// engine and is the production default.
-  bool fast_events = true;
   std::size_t queries = 4000;
   std::size_t warmup = 200;
   std::uint64_t seed = 7;
@@ -79,11 +65,11 @@ struct GGkConfig {
 
 struct GGkResult {
   SampleStats response_times;
-  SampleStats queue_delays;
   std::size_t boosted_queries = 0;
   std::size_t completed = 0;
-  /// Mean instantaneous queueing delay — fed back as a dynamic-condition
-  /// feature for the model (§3.3 "outputted as dynamic condition feedback").
+  /// Mean instantaneous queueing delay over counted completions — fed back
+  /// as a dynamic-condition feature for the model (§3.3 "outputted as
+  /// dynamic condition feedback").
   double mean_queue_delay = 0.0;
   /// Teardown invariants (class-level boosting): the refcount left at
   /// simulation end must equal the number of still-outstanding overdue
@@ -100,24 +86,8 @@ struct GGkResult {
 /// below its default rate (CAT masks only add fill ways).
 [[nodiscard]] GGkResult simulate_ggk(const GGkConfig& config);
 
-/// Run a whole policy-sweep worth of replicas through one engine.  The
-/// batch is processed cell-major: every replica's jobs, FIFO, server pool
-/// and lazy-deletion completion heap live in one arena that is recycled
-/// from cell to cell, so the sweep allocates once per batch instead of once
-/// per cell, and the pre-drawn CRN arrival/demand streams are fetched once
-/// per distinct (seed, rate, cv, count) group and shared by reference
-/// across every cell that differs only in policy (timeout / boost rates).
-/// Per-batch reuse is reported through the "ggk.batch.*" obs counters.
-///
-/// results[i] is bit-identical to simulate_ggk(configs[i]) — same
-/// validation, same event sequence, same chaos hooks; cells with
-/// `fast_events = false` run the legacy reference engine, exactly as the
-/// per-cell entry point would.
-[[nodiscard]] std::vector<GGkResult> simulate_ggk_batch(
-    const std::vector<GGkConfig>& configs);
-
-/// Drop every pre-drawn common-random-number stream held by the fast
-/// engine's process-wide cache (tests).
+/// Drop every pre-drawn common-random-number stream held by the engine's
+/// process-wide cache (tests).
 void clear_crn_stream_cache();
 
 /// Bound the process-wide CRN stream cache (default 64 streams).  At

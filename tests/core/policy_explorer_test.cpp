@@ -150,28 +150,6 @@ TEST_F(PolicyExplorerTest, GridContractRejectsNonFiniteAndUnsorted) {
       ContractViolation);
 }
 
-TEST_F(PolicyExplorerTest, BatchSweepBitIdenticalToPerCell) {
-  // config.batch routes the whole grid through predict_batch and the
-  // batch G/G/k engine — matrices and selection must not move a bit.
-  ExplorerConfig cfg;
-  cfg.grid = {0.0, 1.0, 4.0};
-  cfg.parallel = false;
-  const PolicyExploration serial = explore_policies(predictor_, pairing(), cfg);
-  cfg.batch = true;
-  const PolicyExploration batch = explore_policies(predictor_, pairing(), cfg);
-  EXPECT_EQ(batch.selection.timeout_primary, serial.selection.timeout_primary);
-  EXPECT_EQ(batch.selection.timeout_collocated,
-            serial.selection.timeout_collocated);
-  EXPECT_EQ(batch.slack_used, serial.slack_used);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(batch.predicted_primary(i, j), serial.predicted_primary(i, j));
-      EXPECT_EQ(batch.predicted_collocated(i, j),
-                serial.predicted_collocated(i, j));
-    }
-  }
-}
-
 TEST_F(PolicyExplorerTest, IncrementalReusesStationaryEpochsBitIdentically) {
   ExplorerConfig cfg;
   cfg.grid = {0.0, 1.0, 4.0};

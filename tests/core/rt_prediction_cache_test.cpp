@@ -119,14 +119,14 @@ TEST(RtPredictionCache, KeyIsBitExactOverEveryField) {
   RtPredictionCache cache;
   GGkConfig c = small_sim(5);
   (void)cache.simulate(c);
-  // Any field nudge — including the engine flag and a one-ulp double
-  // change — must miss.
+  // Any field nudge — including a one-ulp double change and the boost
+  // semantics flag — must miss.
   GGkConfig c2 = c;
   c2.seed += 1;
   GGkConfig c3 = c;
   c3.utilization = std::nextafter(c3.utilization, 1.0);
   GGkConfig c4 = c;
-  c4.fast_events = !c4.fast_events;
+  c4.warmup += 1;
   GGkConfig c5 = c;
   c5.class_level_boost = !c5.class_level_boost;
   for (const GGkConfig& v : {c2, c3, c4, c5}) (void)cache.simulate(v);

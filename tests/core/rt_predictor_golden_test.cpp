@@ -66,15 +66,12 @@ std::vector<RuntimeCondition> grid(wl::Benchmark collocated) {
   return out;
 }
 
-/// Digest of predict() over the grid; predict_batch() must give the same.
+/// Digest of predict() over the grid.
 std::uint64_t grid_digest(const RtPredictor& pred,
                           const std::vector<RuntimeCondition>& conds) {
-  Digest serial;
-  for (const RuntimeCondition& c : conds) put(serial, pred.predict(c));
-  Digest batch;
-  for (const RtPrediction& p : pred.predict_batch(conds)) put(batch, p);
-  EXPECT_EQ(batch.h, serial.h);
-  return serial.h;
+  Digest d;
+  for (const RuntimeCondition& c : conds) put(d, pred.predict(c));
+  return d.h;
 }
 
 // Recorded digests, one per feedback_iterations in {1, 2, 3}.

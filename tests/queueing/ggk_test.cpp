@@ -111,8 +111,8 @@ TEST(GGkSimulator, MoreServersReduceWaiting) {
   GGkConfig one = base_config();
   GGkConfig four = base_config();
   four.servers = 4;  // same offered load per server
-  EXPECT_LT(simulate_ggk(four).queue_delays.mean(),
-            simulate_ggk(one).queue_delays.mean());
+  EXPECT_LT(simulate_ggk(four).mean_queue_delay,
+            simulate_ggk(one).mean_queue_delay);
 }
 
 TEST(GGkSimulator, BoostingReducesResponseTime) {
