@@ -308,7 +308,7 @@ int main(int argc, char** argv) {
   {
     // Identity, not wall-clock: the kernels' end-to-end effect is already
     // inside cache_replay; here the widest compiled tier is checked bit for
-    // bit against the scalar reference so BENCH_PR7.json records which ISA
+    // bit against the scalar reference so BENCH_PR10.json records which ISA
     // produced the replay numbers and that it is trustworthy.
     Rng rng(args.seed + 21);
     bool identical = true;

@@ -198,6 +198,7 @@ double Profiler::replay_columns(const queueing::TestbedResult& result,
   // streams through the shared ways at the condition's churn intensity.
   // Its traffic is what imprints the churn level onto the two services'
   // counters (shared-way evictions, extra LLC misses).
+  obs::count("profiler.replays");
   CacheHierarchy hw(scaled_hw_, 3);
   cat::CatController cat(hw, plan_);
   {
@@ -376,19 +377,25 @@ std::vector<Profile> Profiler::profile_condition(
       dflt.per_workload[0].service_durations.mean(), ratio);
   if (config_.ea_mode == EaMode::kModeledTime) {
     // Eq. 3 with modeled memory time per access substituted for service
-    // duration: replay the three traces through the timing-accurate scaled
-    // hierarchy and compare contended memory time instead of the queueing
-    // testbed's service-duration proxy.
-    const double cpa_policy = modeled_cycles_per_access(policy, condition);
+    // duration: replay the three runs' traces through the timing-accurate
+    // scaled hierarchy and compare contended memory time instead of the
+    // queueing testbed's service-duration proxy.  The reference runs go
+    // first: the policy trace is replayed only when both of theirs were, so
+    // no replay runs whose result is dropped.
     const double cpa_default = modeled_cycles_per_access(dflt, condition);
     const double cpa_boost = modeled_cycles_per_access(boosted, condition);
-    if (cpa_policy > 0.0 && cpa_default > 0.0 && cpa_boost > 0.0) {
+    const double cpa_policy =
+        cpa_default > 0.0 && cpa_boost > 0.0
+            ? modeled_cycles_per_access(policy, condition)
+            : 0.0;
+    if (cpa_policy > 0.0) {
       ea = queueing::Testbed::effective_allocation(cpa_policy, cpa_default,
                                                    ratio);
       ea_boost = queueing::Testbed::effective_allocation(cpa_boost,
                                                          cpa_default, ratio);
     } else {
-      // Trace too short to replay — keep the service-duration labels.
+      // A trace too short to replay — today always the reference runs',
+      // which are not traced — keeps the service-duration labels.
       obs::count("profiler.ea_modeled_time_fallback");
     }
   }

@@ -149,7 +149,7 @@ class Profiler {
 
   /// Modeled memory cycles per access of the primary service over the
   /// steady-state tail of `result`'s trace (the kModeledTime EA input).
-  /// Returns 0 when the trace is too short to replay.
+  /// Returns 0, without replaying, when the trace is too short to replay.
   [[nodiscard]] double modeled_cycles_per_access(
       const queueing::TestbedResult& result,
       const RuntimeCondition& condition) const;
@@ -159,7 +159,7 @@ class Profiler {
   /// columns [col_begin, col_begin + cols) with CAT masks tracking the
   /// recorded boost states; fills `image` (2 x 29 x cols counter deltas)
   /// when non-null and returns the primary's modeled cycles per access
-  /// accumulated after warmup.
+  /// accumulated after warmup.  Each call counts in `profiler.replays`.
   double replay_columns(const queueing::TestbedResult& result,
                         std::size_t col_begin, std::size_t cols,
                         const RuntimeCondition& condition,

@@ -3,7 +3,9 @@
 // from the timing-accurate hierarchy.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -101,6 +103,39 @@ TEST(EaMode, ModeledTimeImagesMatchMissRatioImages) {
     EXPECT_EQ(a[i].mean_rt, b[i].mean_rt);
     EXPECT_EQ(a[i].mean_rt_default, b[i].mean_rt_default);
   }
+}
+
+// Characterises the mode as it stands: the never-boost and always-boost
+// reference runs are not traced, so their cycles per access are 0 and every
+// condition keeps the service-duration labels.  Tracing the reference runs
+// changes every modeled-time label and must update this test on purpose.
+TEST(EaMode, ModeledTimeFallsBackWithoutReferenceTraces) {
+  ProfilerConfig time_cfg = fast_config();
+  time_cfg.ea_mode = EaMode::kModeledTime;
+  const Profiler by_ratio(fast_config());
+  const Profiler by_time(time_cfg);
+  const std::vector<RuntimeCondition> conditions = {
+      sample_condition(), sample_condition().swapped()};
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.reset();
+  for (const RuntimeCondition& c : conditions) {
+    const auto a = by_ratio.profile_condition(c);
+    const auto b = by_time.profile_condition(c);
+    ASSERT_GE(a.size(), 1u);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].ea),
+                std::bit_cast<std::uint64_t>(b[i].ea));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].ea_boost),
+                std::bit_cast<std::uint64_t>(b[i].ea_boost));
+    }
+  }
+  EXPECT_EQ(metrics.counter_value("profiler.ea_modeled_time_fallback"),
+            conditions.size());
+  metrics.reset();
+  obs::set_enabled(was_enabled);
 }
 
 TEST(EaMode, ModeledCyclesPerAccessPositiveOnRealTrace) {

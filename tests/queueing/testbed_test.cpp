@@ -304,8 +304,11 @@ TEST_F(TestbedTest, OutputsPinnedAcrossPolicies) {
     }
   }
   EXPECT_EQ(all.h, 0xbae25bd008af7f14ULL);
-  // 761,951 events with the duplicates.
-  EXPECT_LT(events, 761951u);
+  // 761,951 events with the duplicates, 629,000 without them.  The count is
+  // pinned exactly: a stale completion pop is still an integration
+  // breakpoint for the occupancy and effective-ways time averages, so a
+  // change to which events the testbed pops has to restate this count.
+  EXPECT_EQ(events, 629000u);
 }
 
 TEST(TestbedChain, ThreeWorkloadChainCollocation) {
